@@ -18,7 +18,7 @@ from _common import fmt_table, report
 from repro.core.config import RunConfig
 from repro.core.engine import run
 from repro.gpu.device import DeviceSpec, GpuDevice
-from repro.kernels.mandel import mandel_counts
+from repro.kernels.mandel import mandel_counts_frame
 
 
 def run_ext2():
@@ -26,7 +26,7 @@ def run_ext2():
     dim = 256
     xs = np.linspace(-2.5, 1.5, dim)[np.newaxis, :]
     ys = np.linspace(1.5, -2.5, dim)[:, np.newaxis]
-    counts, _ = mandel_counts(xs, ys, 128)
+    counts = mandel_counts_frame(xs, ys, 128)
     lane = counts.astype(np.float64)
     rows = []
     for g in (4, 8, 16, 32):

@@ -12,7 +12,7 @@ import os
 import time
 
 from _common import fmt_table, report
-from repro.expt.csvdb import read_rows
+from repro.expt.csvdb import read_rows, strip_provenance
 from repro.expt.exptools import execute
 
 ICVS = {"OMP_NUM_THREADS=": [2, 4, 6], "OMP_SCHEDULE=": ["static", "dynamic,2"]}
@@ -28,7 +28,8 @@ RUNS = 2  # 3 threads x 2 schedules x 2 runs = 12 points
 
 
 def canon(row):
-    return tuple(sorted((k, str(v)) for k, v in row.items()))
+    """Row identity: every column except where/how it was produced."""
+    return tuple(sorted((k, str(v)) for k, v in strip_provenance(row).items()))
 
 
 def test_sweep_throughput(benchmark, tmp_path):

@@ -137,10 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="force the per-tile reference path even in perf mode "
                    "(the whole-frame fast path is bit-identical; this flag "
                    "exists for benchmarking and differential testing)")
-    p.add_argument("--no-jit", action="store_true",
-                   help="disable the compiled (numba) tile-body tier and run "
-                   "the numpy/pure-python reference bodies (bit-identical; "
-                   "also controlled by $REPRO_NO_JIT)")
     p.add_argument("--csv", default=None, metavar="PATH", help="append the perf row to a CSV")
     p.add_argument("--machine", default="virtual", help="machine label for CSV rows")
     p.add_argument("--dump", action="store_true", help="save the final image as PPM")
@@ -225,7 +221,6 @@ def config_from_args(args: argparse.Namespace, env: dict | None = None) -> RunCo
         jitter=args.jitter,
         run_index=args.run_index,
         fastpath="off" if getattr(args, "no_fastpath", False) else "auto",
-        jit="off" if getattr(args, "no_jit", False) else "auto",
         domain=domain,
         dim_y=getattr(args, "size_y", None) or 0,
         dim_z=getattr(args, "depth", None) or 0,

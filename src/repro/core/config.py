@@ -74,7 +74,6 @@ class RunConfig:
     jitter: float = 0.0  # relative sigma of simulated system noise
     run_index: int = 0  # repetition number (seeds the jitter stream)
     fastpath: str = "auto"  # "auto": whole-frame perf path when possible; "off": reference
-    jit: str = "auto"  # "auto": compiled tile bodies when numba allows; "off": reference
     domain: str = "grid"  # work domain kind, one of DOMAINS
     dim_y: int = 0  # image height; 0 = square (dim x dim)
     dim_z: int = 0  # volume depth (slab3d only); 0 = dim
@@ -158,8 +157,6 @@ class RunConfig:
             raise ConfigError(
                 f"fastpath must be 'auto' or 'off', got {self.fastpath!r}"
             )
-        if self.jit not in ("auto", "off"):
-            raise ConfigError(f"jit must be 'auto' or 'off', got {self.jit!r}")
         # raises ScheduleError on bad specs:
         self.policy()
 

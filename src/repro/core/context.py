@@ -16,7 +16,6 @@ from typing import Any, Callable, Iterable, Iterator, Sequence, TYPE_CHECKING
 import numpy as np
 
 from repro.core import access
-from repro.core import jit as _jit
 from repro.core.config import RunConfig
 from repro.core.domains import make_domain
 from repro.core.image import Img2D
@@ -33,7 +32,27 @@ from repro.util.rng import make_jitter_rng, make_rng
 if TYPE_CHECKING:  # pragma: no cover
     from repro.mpi.proc import MpiProcessContext
 
-__all__ = ["ExecutionContext"]
+__all__ = ["ExecutionContext", "select_tier"]
+
+
+def select_tier(config: RunConfig, *, timelines_wanted: bool = False) -> str:
+    """The execution tier a run of ``config`` resolves to.
+
+    ``"fastpath"`` when the whole-frame batch path may replace the
+    per-tile bodies: sim backend, ``config.fastpath != "off"``, and
+    nothing consumes per-task timelines (monitoring, trace, footprint
+    collection, or — known only to a live context — an attached bus
+    consumer).  The fast path is observably identical to the reference
+    (same images, virtual clock and region log) except that it produces
+    no timeline.  Otherwise ``"interpreted"``: the per-tile bodies run.
+    """
+    if (
+        config.backend == "sim"
+        and config.fastpath != "off"
+        and not (config.monitoring or config.trace or config.footprints or timelines_wanted)
+    ):
+        return "fastpath"
+    return "interpreted"
 
 
 class ExecutionContext:
@@ -87,11 +106,6 @@ class ExecutionContext:
             else base_model
         )
         self.backend = config.backend
-        #: the compiled (numba) tile core for this kernel, or None with
-        #: the fallback reason.  Resolved here — once per context, in
-        #: every process that builds one (incl. procs pool workers) —
-        #: so kernels just test ``ctx.jit_core``.
-        self.jit_core, self.jit_reason = _jit.resolve(config)
         self.rng = make_rng(config.seed)
         self.jitter_rng = make_jitter_rng(config.seed, config.run_index)
         self.arg = config.arg
@@ -330,36 +344,14 @@ class ExecutionContext:
 
     def fastpath_active(self) -> bool:
         """True when the whole-frame perf-mode fast path may replace the
-        per-tile reference path.
-
-        The fast path is observably identical to the reference (same
-        images, same virtual clock, same region log) *except* that it
-        produces no per-task timeline — so it only engages when nothing
-        consumes timelines (:meth:`instrumented` is False), on the sim
-        backend, and not disabled via ``config.fastpath == "off"``.
-        """
-        return (
-            self.backend == "sim"
-            and self.config.fastpath != "off"
-            and not self.instrumented()
-        )
+        per-tile reference path (see :func:`select_tier`)."""
+        return self.execution_tier() == "fastpath"
 
     def execution_tier(self) -> str:
-        """The execution tier this run reports: ``"fastpath"`` when the
-        whole-frame batch path may engage, else ``"jit"`` when a
-        compiled tile core resolved, else ``"interpreted"``.
-
-        The tiers are a precedence, not a partition — a fastpath-tier
-        run still uses ``ctx.jit_core`` on any region the frame
-        declines, and a jit-tier run falls back per-kernel when a body
-        isn't registered.  ``jit_reason`` carries the why-not string
-        surfaced by the CLI and sweep provenance.
-        """
-        if self.fastpath_active():
-            return "fastpath"
-        if self.jit_core is not None:
-            return "jit"
-        return "interpreted"
+        """The execution tier this run reports (see :func:`select_tier`);
+        unlike a bare config, a context also sees externally attached
+        telemetry consumers that demand timelines."""
+        return select_tier(self.config, timelines_wanted=self.instrumented())
 
     def frame_costs(self, works: np.ndarray, log_kind: str) -> np.ndarray:
         """Convert a frame's work vector to per-item costs, feeding the

@@ -44,7 +44,7 @@ class RunResult:
     #: telemetry events lost to ring-buffer overflow (0 for in-process
     #: channels; bounded drop-oldest behaviour of the procs ring)
     dropped_events: int = 0
-    #: execution tier the run resolved to — "fastpath", "jit" or
+    #: execution tier the run resolved to — "fastpath" or
     #: "interpreted" ("" for aggregate MPI results; per-rank results
     #: carry their own).  Provenance, not identity: sweeps record it
     #: but exclude it from resume/equality comparisons.

@@ -50,12 +50,12 @@ __all__ = [
 #: columns recording *where and how* a row was produced, not *what*
 #: was measured: the executor that dispatched the point, the worker
 #: process that ran it, the execution tier the run resolved to
-#: (fastpath/jit/interpreted — all bit-identical by construction) and
-#: whether the schedule-result memo served the point ("hit"/"miss"/"").
+#: (fastpath/interpreted — bit-identical by construction) and whether
+#: the schedule-result memo served the point ("hit"/"miss"/"").
 #: Cross-executor sweeps are row-identical modulo these columns, and
 #: the resume identity excludes them, so databases written under
-#: different executors (or numba availabilities, or warm vs cold
-#: caches) merge cleanly.
+#: different executors (or tiers, or warm vs cold caches) merge
+#: cleanly.
 PROVENANCE_COLUMNS = ("executor", "worker_id", "jit_tier", "memo")
 
 

@@ -20,9 +20,8 @@ import pickle
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.core import jit
 from repro.core.config import RunConfig
-from repro.core.context import ExecutionContext
+from repro.core.context import ExecutionContext, select_tier
 from repro.core.kernel import get_kernel
 from repro.errors import ConfigError
 from repro.sched.costmodel import CostModel
@@ -170,10 +169,10 @@ class WorkProfileCache:
     def workload_key(config: RunConfig) -> tuple:
         """Everything the work profile depends on (NOT threads/schedule).
 
-        Includes the execution tier (fastpath/jit/interpreted): the
-        tiers are bit-identical by construction, but the cache must not
-        *assume* its own correctness proof — a profile captured under a
-        compiled tile body never collides with an interpreted one, so a
+        Includes the execution tier (fastpath/interpreted): the tiers
+        are bit-identical by construction, but the cache must not
+        *assume* its own correctness proof — a profile captured on the
+        whole-frame path never collides with a per-tile one, so a
         tier-selection change between sweep resumes can only re-capture,
         never serve a profile from a different code path.
         """
@@ -198,7 +197,7 @@ class WorkProfileCache:
     def tier_of(config: RunConfig) -> str:
         """The execution tier a capture of ``config`` resolves to (the
         capture always runs uninstrumented, like :func:`capture_log`)."""
-        return jit.select_tier(config.with_(monitoring=False, trace=False))[0]
+        return select_tier(config.with_(monitoring=False, trace=False))
 
     def _disk_path(self, key: tuple) -> Path:
         digest = hashlib.sha256(repr((CACHE_FORMAT, key)).encode()).hexdigest()

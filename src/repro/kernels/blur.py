@@ -50,7 +50,10 @@ def blur_rect_vectorized(src: np.ndarray, dst: np.ndarray, x: int, y: int, w: in
     bulk code" stand-in.
     """
     dim_y, dim_x = src.shape
-    planes = split_channels(src)
+    # only the rectangle plus its 1-pixel halo (clipped to the image) is
+    # ever read; plane indices below are offset by the halo origin
+    y0, x0 = max(0, y - 1), max(0, x - 1)
+    planes = split_channels(src[y0 : min(dim_y, y + h + 1), x0 : min(dim_x, x + w + 1)])
     acc = np.zeros((4, h, w))
     cnt = np.zeros((h, w))
     for dy in (-1, 0, 1):
@@ -65,7 +68,7 @@ def blur_rect_vectorized(src: np.ndarray, dst: np.ndarray, x: int, y: int, w: in
             if ty0 >= ty1 or tx0 >= tx1:
                 continue
             acc[:, ty0:ty1, tx0:tx1] += planes[
-                :, sy0 + ty0 : sy0 + ty1, sx0 + tx0 : sx0 + tx1
+                :, sy0 + ty0 - y0 : sy0 + ty1 - y0, sx0 + tx0 - x0 : sx0 + tx1 - x0
             ]
             cnt[ty0:ty1, tx0:tx1] += 1.0
     dst[y : y + h, x : x + w] = merge_channels(acc / cnt)
@@ -78,7 +81,7 @@ def blur_rect_scalar(src: np.ndarray, dst: np.ndarray, x: int, y: int, w: int, h
     cost ratio against :func:`blur_rect_vectorized` is measured by the
     Fig. 10 benchmark.
     """
-    dim = src.shape[0]
+    dim_y, dim_x = src.shape
     for i in range(y, y + h):
         for j in range(x, x + w):
             r = g = b = a = 0
@@ -87,7 +90,7 @@ def blur_rect_scalar(src: np.ndarray, dst: np.ndarray, x: int, y: int, w: int, h
                 for dj in (-1, 0, 1):
                     yy = i + di
                     xx = j + dj
-                    if 0 <= yy < dim and 0 <= xx < dim:
+                    if 0 <= yy < dim_y and 0 <= xx < dim_x:
                         p = int(src[yy, xx])
                         r += p >> 24 & 0xFF
                         g += p >> 16 & 0xFF
@@ -121,26 +124,18 @@ class BlurKernel(Kernel):
             writes=[("next", x, y, w, h)],
         )
 
-    @staticmethod
-    def _stencil(ctx):
-        """The tile stencil implementation: the compiled (numba) core
-        when the jit tier resolved, else the numpy reference.  Both are
-        signature-compatible and bit-identical (integer channel sums,
-        identical division operands, half-to-even rounding)."""
-        return ctx.jit_core or blur_rect_vectorized
-
     def do_tile_basic(self, ctx, tile: Tile) -> float:
         """Branchy path everywhere (students' first tiled version)."""
         x, y, w, h = tile.as_rect()
         self._declare_tile_access(ctx, x, y, w, h)
-        self._stencil(ctx)(ctx.img.cur, ctx.img.nxt, x, y, w, h)
+        blur_rect_vectorized(ctx.img.cur, ctx.img.nxt, x, y, w, h)
         return tile.area * SCALAR_PIXEL_WORK
 
     def do_tile_opt(self, ctx, tile: Tile) -> float:
         """Branch-free bulk path for inner tiles, branchy for border ones."""
         x, y, w, h = tile.as_rect()
         self._declare_tile_access(ctx, x, y, w, h)
-        self._stencil(ctx)(ctx.img.cur, ctx.img.nxt, x, y, w, h)
+        blur_rect_vectorized(ctx.img.cur, ctx.img.nxt, x, y, w, h)
         is_border = (
             tile.row == 0
             or tile.col == 0

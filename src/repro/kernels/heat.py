@@ -111,8 +111,7 @@ class HeatKernel(Kernel):
             ],
             writes=[("next", tile.x, tile.y, tile.w, tile.h)],
         )
-        step = ctx.jit_core or jacobi_step_rect
-        delta = step(
+        delta = jacobi_step_rect(
             ctx.data["temp"], ctx.data["next"], ctx.data["sources"],
             tile.y, tile.x, tile.h, tile.w,
         )

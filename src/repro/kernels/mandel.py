@@ -20,7 +20,7 @@ import numpy as np
 from repro.core.kernel import Kernel, register_kernel, variant
 from repro.core.tiling import Tile
 
-__all__ = ["MandelKernel", "mandel_counts", "mandel_counts_frame", "DEFAULT_MAX_ITER"]
+__all__ = ["MandelKernel", "mandel_counts_frame", "DEFAULT_MAX_ITER"]
 
 DEFAULT_MAX_ITER = 256
 
@@ -32,53 +32,6 @@ TOP, BOTTOM = 1.5, -2.5  # heavy black area towards the bottom of the image
 # Zoom target: a classic deep-zoom point on the set's boundary.
 ZOOM_X, ZOOM_Y = -0.743643887037151, 0.13182590420533
 ZOOM_FACTOR = 0.96
-
-
-def mandel_counts(
-    cr: np.ndarray,
-    ci: np.ndarray,
-    max_iter: int,
-    *,
-    julia_c: tuple[float, float] | None = None,
-) -> tuple[np.ndarray, float]:
-    """Escape-iteration counts for a grid of complex points.
-
-    Returns ``(counts, work)`` where ``counts[i, j]`` is the iteration
-    at which the point escaped (``max_iter`` if it never did) and
-    ``work`` is the total number of inner-loop iterations executed —
-    the deterministic cost the simulator charges.
-
-    With ``julia_c`` set, iterates the Julia dynamics instead: z starts
-    at the pixel's coordinates and c is the fixed parameter.
-    """
-    shape = np.broadcast_shapes(cr.shape, ci.shape)
-    if julia_c is not None:
-        zr = np.broadcast_to(cr, shape).astype(np.float64).copy()
-        zi = np.broadcast_to(ci, shape).astype(np.float64).copy()
-        cr = np.float64(julia_c[0])
-        ci = np.float64(julia_c[1])
-    else:
-        zr = np.zeros(shape)
-        zi = np.zeros(shape)
-    counts = np.full(shape, max_iter, dtype=np.int32)
-    active = np.ones(shape, dtype=bool)
-    work = 0.0
-    # dead lanes keep being updated (and may overflow to inf/nan) but are
-    # never read again and cost nothing in the work model
-    with np.errstate(over="ignore", invalid="ignore"):
-        for it in range(max_iter):
-            nactive = int(active.sum())
-            if nactive == 0:
-                break
-            work += nactive
-            zr2 = zr * zr
-            zi2 = zi * zi
-            escaped = active & (zr2 + zi2 > 4.0)
-            counts[escaped] = it
-            active &= ~escaped
-            zi = 2.0 * zr * zi + ci
-            zr = zr2 - zi2 + cr
-    return counts, work
 
 
 def _interior_mask(cr: np.ndarray, ci: np.ndarray) -> np.ndarray:
@@ -107,11 +60,18 @@ def mandel_counts_frame(
     *,
     julia_c: tuple[float, float] | None = None,
 ) -> np.ndarray:
-    """Escape counts for a whole frame, optimized for perf mode.
+    """Escape counts for a rectangle of complex points — the kernel's
+    one compute core, shared by the per-tile bodies and the whole-frame
+    fast path.
 
-    Bit-identical to :func:`mandel_counts` (the differential suite and
-    ``tests/test_fastpath_diff.py`` enforce this), but structured for
-    throughput on large grids:
+    ``counts[i, j]`` is the iteration at which the point escaped
+    (``max_iter`` if it never did).  With ``julia_c`` set, iterates the
+    Julia dynamics instead: z starts at the pixel's coordinates and c is
+    the fixed parameter.
+
+    Bit-identical to the plain masked escape loop (the oracle in
+    ``tests/oracles/mandel.py``; a hypothesis property enforces this),
+    but structured for throughput:
 
     * interior pixels (main cardioid / period-2 bulb) are settled to
       ``max_iter`` without iterating — see :func:`_interior_mask`;
@@ -308,26 +268,15 @@ class MandelKernel(Kernel):
         return cr[np.newaxis, :], ci[:, np.newaxis]
 
     def _rect_counts(self, ctx, x: int, y: int, w: int, h: int):
-        """Escape counts + work for a rectangle, through the compiled
-        tile core when the jit tier resolved, else the numpy reference.
-        Both paths are bit-identical (per-pixel work is an integer sum
-        below 2**53, so the accumulation order cannot matter)."""
+        """Escape counts + work (escape-loop iterations executed) for a
+        rectangle.  Escape at iteration ``c`` means ``c + 1`` loop trips
+        and a pixel that never escapes costs ``max_iter``, so the work
+        is ``sum(counts) + #(counts < max_iter)`` — an exact integer."""
+        max_iter = ctx.data["max_iter"]
         cr, ci = self._coords(ctx, x, y, w, h)
-        julia_c = ctx.data.get("julia_c")
-        if ctx.jit_core is not None:
-            counts = np.empty((h, w), dtype=np.int32)
-            if julia_c is not None:
-                work = ctx.jit_core(
-                    cr.ravel(), ci.ravel(), float(julia_c[0]), float(julia_c[1]),
-                    True, ctx.data["max_iter"], counts,
-                )
-            else:
-                work = ctx.jit_core(
-                    cr.ravel(), ci.ravel(), 0.0, 0.0,
-                    False, ctx.data["max_iter"], counts,
-                )
-            return counts, work
-        return mandel_counts(cr, ci, ctx.data["max_iter"], julia_c=julia_c)
+        counts = mandel_counts_frame(cr, ci, max_iter, julia_c=ctx.data.get("julia_c"))
+        work = int(counts.sum(dtype=np.int64)) + np.count_nonzero(counts < max_iter)
+        return counts, float(work)
 
     def do_tile(self, ctx, tile: Tile) -> float:
         """Compute one tile; returns its work (escape iterations executed)."""
@@ -448,7 +397,7 @@ class MandelKernel(Kernel):
         max_iter = ctx.data["max_iter"]
         for _ in ctx.iterations(nb_iter):
             cr, ci = self._coords(ctx, 0, 0, ctx.dim, ctx.dim)
-            counts, _ = mandel_counts(
+            counts = mandel_counts_frame(
                 cr, ci, max_iter, julia_c=ctx.data.get("julia_c")
             )
             ctx.img.cur[:] = _ramp(counts, max_iter)

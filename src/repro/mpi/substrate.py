@@ -62,7 +62,6 @@ from repro.omp.procs import (
     _mp_context,
     _no_main_reimport,
     _unlink_block,
-    _untrack,
     register_cleanup,
 )
 from repro.telemetry.ring import KIND_COUNTER, RECORD_WIDTH, RingWriter, drain_lane
@@ -443,7 +442,6 @@ class ProcComm(CommBase):
         _, _, meta = self._get(root, tag)
         name, shape, dtype = pickle.loads(meta)
         shm = shared_memory.SharedMemory(name=name)
-        _untrack(shm)
         view = np.ndarray(shape, dtype=np.dtype(dtype), buffer=shm.buf)
         view.setflags(write=False)
         self._windows.append(shm)
@@ -468,8 +466,6 @@ def _rank_serve(rank: int, conn, size: int, ctrl_name: str, lane_name: str,
     ctrl_shm = shared_memory.SharedMemory(name=ctrl_name)
     lane_shm = shared_memory.SharedMemory(name=lane_name)
     ring_shm = shared_memory.SharedMemory(name=ring_name)
-    for shm in (ctrl_shm, lane_shm, ring_shm):
-        _untrack(shm)
     nlanes = size * size
     ctrl = np.ndarray((_CTRL_HEAD + _REG_WORDS * size + size,), dtype=np.int64,
                       buffer=ctrl_shm.buf)

@@ -207,19 +207,6 @@ def _defuse(shm: shared_memory.SharedMemory) -> None:
     shm._buf = None
 
 
-def _untrack(shm: shared_memory.SharedMemory) -> None:
-    """No-op placeholder for the attach-side resource_tracker dance.
-
-    Python < 3.13 registers *attached* (not just created) blocks with the
-    resource tracker.  Pool workers share the master's tracker process
-    (the fd is inherited through forkserver/spawn), so the re-register is
-    a harmless set-dedup and must NOT be undone: an explicit
-    ``unregister`` here would erase the master's own registration and
-    break its unlink bookkeeping.  Kept as a hook (and documentation)
-    should a future start method give workers a private tracker.
-    """
-
-
 class SharedArena:
     """A set of named shared-memory blocks owned by one run."""
 
@@ -398,8 +385,11 @@ class _TrackingDict(dict):
 def _worker_view(state: dict, name: str, shape, dtype) -> np.ndarray:
     shm = state["shms"].get(name)
     if shm is None:
+        # Python < 3.13 re-registers attached blocks with the resource
+        # tracker; workers share the master's tracker, so that is a
+        # harmless set-dedup, and unregistering here would erase the
+        # master's own registration
         shm = shared_memory.SharedMemory(name=name)
-        _untrack(shm)
         state["shms"][name] = shm
     return np.ndarray(tuple(shape), dtype=np.dtype(dtype), buffer=shm.buf)
 
@@ -573,7 +563,6 @@ def _worker_main(rank: int, conn, lock, ctrl_name: str, nworkers: int) -> None:
     """Pool worker: serve setup/region messages until shutdown."""
     state: dict[str, Any] = {"shms": {}}
     ctrl_shm = shared_memory.SharedMemory(name=ctrl_name)
-    _untrack(ctrl_shm)
     # layout: [queue cursor, steal count, per-worker deques (2 each),
     #          per-worker telemetry-ring write counts (1 each)]
     ctrl = np.ndarray((2 + 3 * nworkers,), dtype=np.int64, buffer=ctrl_shm.buf)

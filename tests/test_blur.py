@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.engine import run
 from repro.core.image import rgba
+from repro.core.tiling import TileGrid
 from repro.kernels.api import SCALAR_PIXEL_WORK, VECTOR_PIXEL_WORK
 from repro.kernels.blur import blur_rect_scalar, blur_rect_vectorized
 from tests.conftest import make_config
@@ -23,6 +24,28 @@ class TestBlurRect:
         blur_rect_scalar(src, d1, 0, 0, 16, 16)
         blur_rect_vectorized(src, d2, 0, 0, 16, 16)
         assert np.array_equal(d1, d2)
+
+    @pytest.mark.parametrize("tile_w,tile_h", [(1, 1), (4, 3), (5, 8), (7, 13), (21, 13)])
+    def test_vectorized_matches_scalar_on_every_tile(self, tile_w, tile_h):
+        """Per-tile calls on a non-square image whose sides the tiles do
+        not divide: corner and edge tiles clip their halo to the image,
+        and the tiles together write the whole-frame call's bytes."""
+        dim_x, dim_y = 21, 13
+        src = np.random.default_rng(3).integers(
+            0, 2**32, size=(dim_y, dim_x), dtype=np.uint32
+        )
+        scalar = np.zeros_like(src)
+        blur_rect_scalar(src, scalar, 0, 0, dim_x, dim_y)
+        tiled = np.zeros_like(src)
+        for tile in TileGrid(dim_x, tile_w, tile_h, dim_y=dim_y):
+            x, y, w, h = tile.as_rect()
+            blur_rect_vectorized(src, tiled, x, y, w, h)
+            assert np.array_equal(
+                tiled[y : y + h, x : x + w], scalar[y : y + h, x : x + w]
+            ), f"tile {tile.as_rect()} diverges"
+        frame = np.zeros_like(src)
+        blur_rect_vectorized(src, frame, 0, 0, dim_x, dim_y)
+        assert np.array_equal(tiled, frame)
 
     def test_vectorized_matches_scalar_on_inner_rect(self):
         src = random_img(16)

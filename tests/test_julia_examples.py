@@ -5,8 +5,8 @@ import runpy
 import numpy as np
 
 from repro.core.engine import run
-from repro.kernels.mandel import mandel_counts
 from tests.conftest import make_config
+from tests.oracles.mandel import mandel_counts
 
 
 class TestJuliaMode:

@@ -1,11 +1,17 @@
 """Tests for the mandel kernel: math, work model, variant equivalence."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.engine import run
-from repro.kernels.mandel import DEFAULT_MAX_ITER, mandel_counts
+from repro.core.kernel import get_kernel
+from repro.kernels.mandel import DEFAULT_MAX_ITER, mandel_counts_frame
 from tests.conftest import make_config
+from tests.oracles.mandel import mandel_counts
 
 
 class TestMandelCounts:
@@ -42,6 +48,51 @@ class TestMandelCounts:
     def test_broadcasting(self):
         counts, _ = mandel_counts(np.zeros((1, 4)), np.zeros((3, 1)), 10)
         assert counts.shape == (3, 4)
+
+
+ORACLE_DIM = 48
+
+
+@st.composite
+def viewport_rects(draw):
+    """A rectangle of the kernel's viewport after a random number of
+    zoom steps (deeper views put more pixels on the set's boundary)."""
+    x = draw(st.integers(0, ORACLE_DIM - 1))
+    y = draw(st.integers(0, ORACLE_DIM - 1))
+    w = draw(st.integers(1, ORACLE_DIM - x))
+    h = draw(st.integers(1, ORACLE_DIM - y))
+    return x, y, w, h, draw(st.integers(0, 120))
+
+
+class TestSingleCoreMatchesOracle:
+    """Per-tile and whole-frame execution share ``mandel_counts_frame``,
+    so only this property checks the core against independent code."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        rect=viewport_rects(),
+        max_iter=st.integers(1, 512),
+        julia=st.booleans(),
+    )
+    def test_counts_and_work_equal_oracle(self, rect, max_iter, julia):
+        x, y, w, h, zooms = rect
+        kernel = get_kernel("mandel")
+        ctx = SimpleNamespace(
+            dim=ORACLE_DIM, arg=f"julia:-0.8:0.156:{max_iter}" if julia else str(max_iter),
+            data={},
+        )
+        kernel.init(ctx)
+        for _ in range(zooms):
+            kernel.zoom(ctx)
+        julia_c = ctx.data["julia_c"]
+        cr, ci = kernel._coords(ctx, x, y, w, h)
+        want_counts, want_work = mandel_counts(cr, ci, max_iter, julia_c=julia_c)
+        counts = mandel_counts_frame(cr, ci, max_iter, julia_c=julia_c)
+        assert np.array_equal(counts, want_counts)
+        assert counts.sum() + np.count_nonzero(counts < max_iter) == want_work
+        tile_counts, tile_work = kernel._rect_counts(ctx, x, y, w, h)
+        assert np.array_equal(tile_counts, want_counts)
+        assert tile_work == want_work
 
 
 class TestVariants:
