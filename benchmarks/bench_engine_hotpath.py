@@ -1,14 +1,18 @@
 """Perf-regression harness for the whole-frame fast path.
 
-Measures wall-clock frames/sec of the perf-mode engine with the
-vectorized fast path on (``fastpath="auto"``) and off
-(``fastpath="off"``, the per-tile reference) over a fixed
-kernel x schedule x ncpus grid, and compares the *speedup ratios*
-against the committed baseline ``BENCH_engine.json``.
+Measures the wall-clock milliseconds per frame of the perf-mode engine
+on the vectorized fast path (``fastpath="auto"``) over a fixed
+kernel x schedule x ncpus grid, and compares them against the committed
+baseline ``BENCH_engine.json``.
 
-Speedup (ref_time / fast_time) is a same-machine ratio, so it transfers
-across hosts far better than absolute fps — the CI gate therefore
-checks ratios, with absolute fps recorded for human inspection only.
+Raw wall times drift with the load neighbours put on a shared host, so
+every config also times the fixed reference task of
+``perfbench/calibrate.py`` beside its runs and reports its milliseconds
+scaled to that task's reference host.  The per-tile path
+(``fastpath="off"``) is timed too and the fast/per-tile speedup ratio is
+printed, but not gated: both paths call the same compute core per
+kernel, so the ratio says how much the per-tile loop costs, not how
+fast the fast path is.
 
 Usage::
 
@@ -16,12 +20,9 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_engine_hotpath.py --out BENCH_engine.json
     PYTHONPATH=src python benchmarks/bench_engine_hotpath.py --quick --check BENCH_engine.json
 
-``--check`` exits non-zero when
-
-* any config's measured speedup falls below ``(1 - tolerance)`` x its
-  baseline speedup (default tolerance 30%), or
-* the acceptance config (mandel 512^2, static, 8 CPUs, 32x32 tiles)
-  drops below 5x — the fast path's reason to exist.
+``--check`` exits non-zero when any config's scaled fast-path ms per
+frame (best of N) rises more than ``tolerance`` (default 30%) above its
+baseline, or when a config's fast path did not engage.
 """
 
 from __future__ import annotations
@@ -38,10 +39,9 @@ from repro.core.engine import run
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_BASELINE = REPO_ROOT / "BENCH_engine.json"
+sys.path.insert(0, str(REPO_ROOT / "perfbench"))
 
-#: the acceptance gate: this config must stay >= GATE_SPEEDUP
-GATE_ID = "mandel-512-static-8"
-GATE_SPEEDUP = 5.0
+from calibrate import HostMeter  # noqa: E402
 
 #: id -> RunConfig kwargs (fastpath is toggled by the harness)
 CONFIGS: dict[str, dict] = {
@@ -87,36 +87,35 @@ def _timed(cfg_kwargs: dict, fastpath: str) -> tuple[float, int]:
 
 
 def _bench_pair(cfg_kwargs: dict, reps: int) -> dict:
-    """Interleaved fast/ref timings; speedup = median of paired ratios.
+    """Interleaved fast/per-tile timings plus the host-speed scale.
 
-    The two paths are timed back to back inside each rep so transient
-    machine load slows both sides of a ratio together — a median of
-    paired ratios is far more stable on shared CI runners than the
-    ratio of two independently-taken minima.  One untimed warmup per
+    The reference task runs right after each fast-path run, for about a
+    quarter of its time, so the scale samples the host over the same
+    stretch of wall clock as the timed frames.  One untimed warmup per
     path absorbs first-call costs (allocator growth, ufunc loop
-    selection) that would otherwise dominate ``--quick``'s single rep.
+    selection) that would otherwise dominate ``--quick``'s few reps.
     """
     _, fast_regions = _timed(cfg_kwargs, "auto")
-    _, ref_regions = _timed(cfg_kwargs, "off")
+    _timed(cfg_kwargs, "off")
+    meter = HostMeter()
     fast_ts, ref_ts = [], []
     for _ in range(reps):
         t, _ = _timed(cfg_kwargs, "auto")
+        meter.follow(t)
         fast_ts.append(t)
         t, _ = _timed(cfg_kwargs, "off")
         ref_ts.append(t)
     ratios = sorted(r / f for f, r in zip(fast_ts, ref_ts))
     frames = cfg_kwargs["iterations"]
     return {
+        # the gated statistic: best-of-N, in reference-host ms per frame
+        "ms_per_frame": round(min(fast_ts) * meter.scale * 1e3 / frames, 3),
+        "host_scale": round(meter.scale, 3),
         "fps_fast": round(frames / min(fast_ts), 3),
         "fps_ref": round(frames / min(ref_ts), 3),
-        # median paired ratio: the stable regression statistic
+        # median paired ratio, reported only
         "speedup": round(ratios[len(ratios) // 2], 3),
-        # best paired ratio: what the machine is capable of; the
-        # absolute >=5x gate uses this (best-of-N convention) so a
-        # noisy co-tenant cannot flake an acceptance that holds
-        "speedup_best": round(ratios[-1], 3),
-        "_fast_regions": fast_regions,
-        "_ref_regions": ref_regions,
+        "fast_regions": fast_regions,
     }
 
 
@@ -124,31 +123,22 @@ def measure(reps: int) -> dict:
     """Measure every config; returns the BENCH_engine.json payload."""
     results = {}
     for cid, kwargs in CONFIGS.items():
-        if cid == GATE_ID:
-            # the gate config carries a hard >=5x floor; never time it
-            # with fewer than 5 reps or noise can flake the CI check
-            r = max(reps, 5)
-        elif kwargs["dim"] <= 256:
-            # sub-10ms runs: a single OS hiccup halves one paired ratio,
-            # and reps are nearly free at this size — median of >=7
-            r = max(reps, 7)
-        else:
-            r = reps
-        entry = _bench_pair(kwargs, r)
-        if entry.pop("_fast_regions") == 0:
-            raise SystemExit(f"{cid}: fast path did not engage — gating bug?")
-        if entry.pop("_ref_regions") != 0:
-            raise SystemExit(f"{cid}: reference run used the fast path")
-        results[cid] = entry
-    return {"schema": 1, "gate": {"id": GATE_ID, "min_speedup": GATE_SPEEDUP},
-            "configs": results}
+        # sub-10ms runs: a single OS hiccup doubles one rep's time, and
+        # reps are nearly free at this size; best of >= 7
+        r = max(reps, 7) if kwargs["dim"] <= 256 else reps
+        results[cid] = _bench_pair(kwargs, r)
+    return {"schema": 2, "configs": results}
 
 
 def render(payload: dict) -> str:
-    rows = [[cid, r["fps_fast"], r["fps_ref"], f"{r['speedup']:.2f}x",
-             f"{r['speedup_best']:.2f}x"]
+    rows = [[cid, f"{r['ms_per_frame']:.3f}", r["host_scale"], r["fps_fast"],
+             r["fps_ref"], f"{r['speedup']:.2f}x"]
             for cid, r in payload["configs"].items()]
-    return fmt_table(["config", "fps fast", "fps ref", "speedup", "best"], rows)
+    return fmt_table(
+        ["config", "ms/frame (ref host)", "host scale", "fps fast", "fps per-tile",
+         "speedup"],
+        rows,
+    )
 
 
 def check(measured: dict, baseline_path: Path, tolerance: float) -> list[str]:
@@ -160,20 +150,14 @@ def check(measured: dict, baseline_path: Path, tolerance: float) -> list[str]:
         if got is None:
             failures.append(f"{cid}: present in baseline but not measured")
             continue
-        floor = base["speedup"] * (1.0 - tolerance)
-        if got["speedup"] < floor:
+        if got["fast_regions"] == 0:
+            failures.append(f"{cid}: the whole-frame fast path did not engage")
+        ceiling = base["ms_per_frame"] * (1.0 + tolerance)
+        if got["ms_per_frame"] > ceiling:
             failures.append(
-                f"{cid}: speedup {got['speedup']:.2f}x regressed more than "
-                f"{tolerance:.0%} below baseline {base['speedup']:.2f}x"
+                f"{cid}: fast path {got['ms_per_frame']:.3f} ms/frame is more than "
+                f"{tolerance:.0%} above baseline {base['ms_per_frame']:.3f} ms/frame"
             )
-    gate = measured["configs"].get(GATE_ID)
-    if gate is None:
-        failures.append(f"gate config {GATE_ID} was not measured")
-    elif gate["speedup_best"] < GATE_SPEEDUP:
-        failures.append(
-            f"{GATE_ID}: best speedup {gate['speedup_best']:.2f}x below "
-            f"the {GATE_SPEEDUP:.0f}x acceptance floor"
-        )
     return failures
 
 
@@ -182,13 +166,14 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--quick", action="store_true",
                     help="fewer reps per config (CI smoke)")
     ap.add_argument("--reps", type=int, default=None,
-                    help="paired reps per config; default 5, 3 with --quick")
+                    help="paired reps per config; default 5, 3 with --quick "
+                         "(at least 7 for 256^2 configs)")
     ap.add_argument("--out", type=Path, default=None,
                     help="write the measured baseline JSON here")
     ap.add_argument("--check", type=Path, default=None, metavar="BASELINE",
                     help="compare against a committed baseline; exit 1 on regression")
     ap.add_argument("--tolerance", type=float, default=0.30,
-                    help="allowed fractional speedup regression (default 0.30)")
+                    help="allowed fractional ms/frame regression (default 0.30)")
     args = ap.parse_args(argv)
 
     reps = args.reps if args.reps is not None else (3 if args.quick else 5)
@@ -205,8 +190,7 @@ def main(argv: list[str] | None = None) -> int:
             for f in failures:
                 print(f"  - {f}", file=sys.stderr)
             return 1
-        print(f"perf check OK vs {args.check} "
-              f"(tolerance {args.tolerance:.0%}, gate >= {GATE_SPEEDUP:.0f}x)")
+        print(f"perf check OK vs {args.check} (tolerance {args.tolerance:.0%})")
     return 0
 
 

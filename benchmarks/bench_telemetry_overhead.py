@@ -12,6 +12,12 @@ path (``--check-races``-grade collection over the ring) is measured
 and reported too, but not gated: footprints intercept every buffer
 access, which is honest observability work, not bus overhead.
 
+The ``sim_trace_save`` case times what a user waits for after a traced
+run: writing its ``.evt`` file.  It runs ``life omp_tiled`` (512², tile
+16, 5 iterations, ``trace=True``) and gates best-of-N ``save_trace``
+wall ÷ best-of-N traced-run wall at :data:`SAVE_GATE_RATIO`, reporting
+µs per event beside it.
+
 Usage::
 
     PYTHONPATH=src:benchmarks python benchmarks/bench_telemetry_overhead.py
@@ -22,7 +28,8 @@ Usage::
 
 ``--check`` exits non-zero when a gated overhead ratio exceeds the
 1.05x ceiling or regresses more than ``--tolerance`` (additive) above
-the committed baseline.
+the committed baseline, or when the trace-save ratio exceeds its
+0.5 ceiling.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ import argparse
 import json
 import os
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -39,6 +47,7 @@ from repro.core.config import RunConfig
 from repro.core.engine import run
 from repro.core.kernel import load_kernel_module
 from repro.omp.procs import shutdown_pools
+from repro.trace.format import save_trace
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 KERNEL_FILE = Path(__file__).resolve().parent / "kernels_purepy.py"
@@ -51,6 +60,13 @@ WORKERS = 2
 CONFIG = dict(
     kernel="pymandel", variant="omp_tiled", dim=128, tile_w=32, tile_h=32,
     iterations=2, schedule="dynamic,1",
+)
+
+#: trace-save ceiling: best save_trace wall / best traced-run wall
+SAVE_GATE_RATIO = 0.5
+SAVE_CONFIG = dict(
+    kernel="life", variant="omp_tiled", dim=512, tile_w=16, tile_h=16,
+    iterations=5, arg="random", trace=True,
 )
 
 #: (name, gated) — each case is timed plain vs instrumented
@@ -67,6 +83,28 @@ def _timed(extra: dict) -> float:
     t0 = time.perf_counter()
     run(cfg)
     return time.perf_counter() - t0
+
+
+def measure_trace_save(reps: int) -> dict:
+    """Best-of-``reps`` traced Life run and ``save_trace`` of its trace."""
+    cfg = RunConfig(**SAVE_CONFIG)
+    run(cfg)  # warmup
+    run_ts, save_ts = [], []
+    with tempfile.TemporaryDirectory() as tmp:
+        for _ in range(reps):
+            t0 = time.perf_counter()
+            trace = run(cfg).trace
+            t1 = time.perf_counter()
+            save_trace(trace, Path(tmp) / "life.evt")
+            run_ts.append(t1 - t0)
+            save_ts.append(time.perf_counter() - t1)
+    return {
+        "run_s": round(min(run_ts), 4),
+        "save_s": round(min(save_ts), 4),
+        "events": len(trace.events),
+        "us_per_event": round(min(save_ts) / len(trace.events) * 1e6, 2),
+        "save_ratio": round(min(save_ts) / min(run_ts), 4),
+    }
 
 
 def measure(reps: int) -> dict:
@@ -95,11 +133,12 @@ def measure(reps: int) -> dict:
             "overhead_ratio_best": round(ratios[0], 4),
         }
     return {
-        "schema": 1,
+        "schema": 2,
         "cpu_count": os.cpu_count() or 1,
         "workers": WORKERS,
-        "gate": {"max_overhead_ratio": GATE_RATIO},
+        "gate": {"max_overhead_ratio": GATE_RATIO, "max_save_ratio": SAVE_GATE_RATIO},
         "results": results,
+        "sim_trace_save": measure_trace_save(reps),
     }
 
 
@@ -112,8 +151,14 @@ def render(payload: dict) -> str:
             f"{r['overhead_ratio']:.3f}x",
             f"{(r['overhead_ratio'] - 1.0) * 100:+.1f}%",
         ])
-    return fmt_table(
+    table = fmt_table(
         ["case", "gated", "plain s", "instr s", "ratio", "overhead"], rows
+    )
+    r = payload["sim_trace_save"]
+    save_row = ["sim_trace_save", r["events"], f"{r['run_s']:.4f}", f"{r['save_s']:.4f}",
+                f"{r['us_per_event']:.2f}", f"{r['save_ratio']:.3f}"]
+    return table + "\n\n" + fmt_table(
+        ["case", "events", "run s", "save s", "us/event", "save/run"], [save_row]
     )
 
 
@@ -131,6 +176,13 @@ def check(measured: dict, baseline_path: Path, tolerance: float) -> list[str]:
                 f"{name}: instrumentation overhead {r['overhead_ratio_best']:.3f}x "
                 f"(best of N) exceeds the {GATE_RATIO:.2f}x ceiling"
             )
+    save = measured["sim_trace_save"]
+    if save["save_ratio"] > SAVE_GATE_RATIO:
+        failures.append(
+            f"sim_trace_save: save_trace takes {save['save_ratio']:.3f}x the traced run "
+            f"({save['us_per_event']:.2f} us/event), above the "
+            f"{SAVE_GATE_RATIO:.2f}x ceiling"
+        )
     baseline = json.loads(baseline_path.read_text())
     for name, r in measured["results"].items():
         base = baseline["results"].get(name)
@@ -180,7 +232,8 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"  - {f}", file=sys.stderr)
             return 1
         print(f"telemetry overhead check OK vs {args.check} "
-              f"(ceiling {GATE_RATIO:.2f}x, tolerance +{args.tolerance:.2f})")
+              f"(ceiling {GATE_RATIO:.2f}x, tolerance +{args.tolerance:.2f}, "
+              f"trace save <= {SAVE_GATE_RATIO:.2f}x the run)")
     return 0
 
 

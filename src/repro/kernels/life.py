@@ -41,25 +41,26 @@ def life_step_rect(
     """Apply one Life step to the rectangle (y, x, h, w) of ``cells``
     into ``nxt``; cells outside the array count as dead.
 
+    The 3x3 box sum (the cell plus its 8 neighbours) is separable: sum
+    each row's three columns, then three of those rows.  A cell lives
+    on with box 3 (born, or 2 neighbours) or box 4 when it was alive
+    (3 neighbours).
+
     Returns the number of cells whose state changed.
     """
     H, W = cells.shape
     # pad[1 + i, 1 + j] == cells[y + i, x + j] for in-bounds cells, else 0,
     # so every target cell sees a full 3x3 window
-    pad = np.zeros((h + 2, w + 2), dtype=np.int16)
+    pad = np.zeros((h + 2, w + 2), dtype=np.uint8)
     ys0, ys1 = max(y - 1, 0), min(y + h + 1, H)
     xs0, xs1 = max(x - 1, 0), min(x + w + 1, W)
     pad[ys0 - y + 1 : ys1 - y + 1, xs0 - x + 1 : xs1 - x + 1] = cells[ys0:ys1, xs0:xs1]
-    neigh = (
-        pad[0:-2, 0:-2] + pad[0:-2, 1:-1] + pad[0:-2, 2:]
-        + pad[1:-1, 0:-2] + pad[1:-1, 2:]
-        + pad[2:, 0:-2] + pad[2:, 1:-1] + pad[2:, 2:]
-    )
+    rows = pad[:, :-2] + pad[:, 1:-1] + pad[:, 2:]
+    box = rows[:-2] + rows[1:-1] + rows[2:]
     cur = pad[1:-1, 1:-1]
-    alive = ((neigh == 3) | ((cur == 1) & (neigh == 2))).astype(np.uint8)
-    changed = int((alive != cur).sum())
-    nxt[y : y + h, x : x + w] = alive
-    return changed
+    out = (box == 3) | ((box == 4) & (cur == 1))
+    np.copyto(nxt[y : y + h, x : x + w], out)
+    return int(np.count_nonzero(out != cur))
 
 
 # --------------------------------------------------------------------------

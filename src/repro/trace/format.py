@@ -26,18 +26,22 @@ def default_trace_path(directory: str | os.PathLike = "traces", label: str = "cu
 
 
 def save_trace(trace: Trace, path: str | os.PathLike) -> Path:
-    """Write ``trace`` to ``path`` (parent directories are created)."""
+    """Write ``trace`` to ``path`` (parent directories are created).
+
+    One ``json.dumps`` per line, streamed: the file is never built in
+    memory, so writing a long trace costs no more memory than its events.
+    """
     p = Path(path)
     p.parent.mkdir(parents=True, exist_ok=True)
+    dumps = json.dumps
     with p.open("w", encoding="utf-8") as fh:
         header = {
             "easypap_trace": TRACE_FORMAT_VERSION,
             "meta": trace.meta.to_dict(),
             "nevents": len(trace.events),
         }
-        fh.write(json.dumps(header) + "\n")
-        for e in trace.events:
-            fh.write(json.dumps(e.to_dict()) + "\n")
+        fh.write(dumps(header) + "\n")
+        fh.writelines(dumps(e.to_dict()) + "\n" for e in trace.events)
     return p
 
 

@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.engine import run
 from repro.kernels.life import GLIDER, life_step_rect, make_dataset
 from tests.conftest import make_config
+from tests.oracles import life as oracle
 
 
 def step_full(cells):
@@ -66,6 +69,76 @@ class TestRule:
         nxt = np.zeros_like(cells)
         changed = life_step_rect(cells, nxt, 0, 0, 5, 5)
         assert changed == 4  # 2 births + 2 deaths
+
+
+@st.composite
+def boards_and_rects(draw):
+    """A random 0/1 board of any ``(H, W)`` up to 40x40 and a rectangle
+    in it.  Each side of the rectangle is snapped to the board's edge
+    half of the time, so edges and corners come up often."""
+    H, W = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    density = draw(st.sampled_from([0.1, 0.35, 0.6]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    cells = (np.random.default_rng(seed).random((H, W)) < density).astype(np.uint8)
+
+    def span(n):
+        lo = 0 if draw(st.booleans()) else draw(st.integers(0, n - 1))
+        hi = n if draw(st.booleans()) else draw(st.integers(lo + 1, n))
+        return lo, hi - lo
+
+    y, h = span(H)
+    x, w = span(W)
+    return cells, y, x, h, w
+
+
+def garbage_like(cells, seed=7):
+    """A ``nxt`` buffer whose every byte differs from a fresh step's."""
+    return np.random.default_rng(seed).integers(2, 256, cells.shape, dtype=np.uint8)
+
+
+class TestSingleCoreMatchesOracle:
+    """Per-tile, whole-frame and MPI-band execution share
+    ``life_step_rect``, so only these properties check the core against
+    independent code: the 8-neighbour ``int16`` stencil."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=boards_and_rects())
+    def test_rect_equals_oracle(self, case):
+        cells, y, x, h, w = case
+        before = cells.copy()
+        got, want = garbage_like(cells), garbage_like(cells)
+        changed = life_step_rect(cells, got, y, x, h, w)
+        assert changed == oracle.life_step_rect(cells, want, y, x, h, w)
+        assert np.array_equal(got[y : y + h, x : x + w], want[y : y + h, x : x + w])
+        outside = np.ones(cells.shape, dtype=bool)
+        outside[y : y + h, x : x + w] = False
+        assert np.array_equal(got[outside], garbage_like(cells)[outside])
+        assert np.array_equal(got, want)
+        assert np.array_equal(cells, before)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(1, 48), st.integers(1, 48)),
+        tile=st.tuples(st.integers(1, 17), st.integers(1, 17)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_tiles_and_whole_frame_equal_oracle(self, shape, tile, seed):
+        cells = (np.random.default_rng(seed).random(shape) < 0.35).astype(np.uint8)
+        H, W = shape
+        th, tw = tile
+        want = garbage_like(cells)
+        want_changed = oracle.life_step_rect(cells, want, 0, 0, H, W)
+        frame = garbage_like(cells)
+        assert life_step_rect(cells, frame, 0, 0, H, W) == want_changed
+        assert np.array_equal(frame, want)
+        tiled = garbage_like(cells)
+        total = 0
+        for y in range(0, H, th):
+            for x in range(0, W, tw):
+                h, w = min(th, H - y), min(tw, W - x)
+                total += life_step_rect(cells, tiled, y, x, h, w)
+        assert total == want_changed
+        assert np.array_equal(tiled, want)
 
 
 class TestDatasets:

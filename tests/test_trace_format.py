@@ -1,12 +1,17 @@
 """Tests for the .evt trace file format."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import TraceError
 from repro.trace.events import Trace, TraceEvent, TraceMeta
 from repro.trace.format import default_trace_path, load_trace, save_trace
+from tests.oracles import trace as oracle
 
 
 def sample_trace(n=5):
@@ -129,6 +134,76 @@ class TestForwardCompat:
     def test_empty_footprints_omitted_from_serialization(self):
         d = sample_trace(1).events[0].to_dict()
         assert "reads" not in d and "writes" not in d
+
+
+#: floats across the whole finite range, subnormals included
+floats = st.floats(allow_nan=False, allow_infinity=False)
+#: strings with quotes, backslashes, control and non-ASCII characters
+texts = st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=12)
+#: values ``extra`` holds and JSON gives back unchanged
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | floats | texts,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(texts, inner, max_size=4),
+    max_leaves=12,
+)
+extras = st.one_of(
+    st.just({}),
+    st.dictionaries(texts, json_values, max_size=5),
+    st.fixed_dictionaries({
+        "index": st.integers(0, 4096),
+        "preds": st.lists(st.integers(0, 4096), max_size=6),
+        "depend_in": st.lists(texts.map(lambda t: f'cell["{t}"]'), max_size=3),
+        "work": floats,
+    }),
+)
+ints = st.integers(0, 2**31)
+regions = st.one_of(
+    st.tuples(texts, ints, ints, ints, ints),
+    st.tuples(texts, ints, ints, ints, ints, ints, ints),
+)
+
+
+@st.composite
+def events(draw):
+    if draw(st.booleans()):
+        x, y, w, h = draw(st.tuples(ints, ints, ints, ints))
+    else:
+        x = y = w = h = -1
+    return TraceEvent(
+        iteration=draw(ints), cpu=draw(st.integers(0, 255)),
+        start=draw(floats), end=draw(floats), x=x, y=y, w=w, h=h,
+        kind=draw(st.sampled_from(["tile", "task_dr", "ghost"]) | texts),
+        extra=draw(extras),
+        reads=tuple(draw(st.lists(regions, max_size=3))),
+        writes=tuple(draw(st.lists(regions, max_size=3))),
+    )
+
+
+traces = st.builds(
+    Trace,
+    st.builds(
+        TraceMeta, kernel=texts, variant=texts, dim=ints, tile_w=ints,
+        tile_h=ints, ncpus=st.integers(0, 256), schedule=texts,
+        iterations=ints, label=texts,
+        extra=st.dictionaries(texts, json_values, max_size=4),
+    ),
+    st.lists(events(), max_size=8),
+)
+
+
+class TestWriterMatchesOracle:
+    """``save_trace`` builds each event's dict field by field; the
+    oracle goes through ``dataclasses.asdict``.  Same bytes, always."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(trace=traces)
+    def test_same_bytes_and_roundtrip(self, trace):
+        with tempfile.TemporaryDirectory() as tmp:
+            p = save_trace(trace, Path(tmp) / "t.evt")
+            assert p.read_bytes() == oracle.trace_bytes(trace)
+            loaded = load_trace(p)
+        assert loaded.meta == trace.meta
+        assert loaded.events == trace.events
 
 
 class TestEngineIntegration:
