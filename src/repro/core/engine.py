@@ -38,7 +38,9 @@ class RunResult:
     early_stop: int = 0  # iteration at which the kernel stabilized (0 = never)
     context: ExecutionContext | None = None
     rank_results: list["RunResult"] = field(default_factory=list)  # MPI runs
-    fastpath_regions: int = 0  # regions executed by the whole-frame fast path
+    #: regions executed by the whole-frame fast path (summed over ranks
+    #: for an aggregate MPI result)
+    fastpath_regions: int = 0
     #: aggregated telemetry counters (regions, steals, dropped_events, ...)
     counters: dict = field(default_factory=dict)
     #: telemetry events lost to ring-buffer overflow (0 for in-process

@@ -173,7 +173,9 @@ class TileGrid:
                 out.append(self.at(r, c))
         return out
 
-    def tile_reduce(self, array: np.ndarray, op: np.ufunc = np.add) -> np.ndarray:
+    def tile_reduce(
+        self, array: np.ndarray, op: np.ufunc = np.add, *, y0: int = 0
+    ) -> np.ndarray:
         """Per-tile reduction of a ``(dim_y, dim_x)`` array → ``(rows, cols)``.
 
         The workhorse of the whole-frame fast path: per-tile work and
@@ -181,13 +183,25 @@ class TileGrid:
         ``reduceat`` passes instead of one NumPy call per tile.  Integer
         and boolean reductions are exact, so the recovered values equal
         the per-tile computations bit for bit.
+
+        With ``y0`` the array is a row band instead: it holds image rows
+        ``y0 ..``, which must span whole tile rows (the last one may end
+        at the image border), and the result has one row per tile row of
+        the band (an MPI rank's band).
         """
-        if array.shape[:2] != (self.dim_y, self.dim_x):
+        y1 = y0 + array.shape[0]
+        if (
+            array.shape[1] != self.dim_x
+            or y0 % self.tile_h
+            or y1 <= y0
+            or y1 > self.dim_y
+            or (y1 % self.tile_h and y1 != self.dim_y)
+        ):
             raise ConfigError(
-                f"tile_reduce expects a ({self.dim_y}, {self.dim_x}) array, "
-                f"got {array.shape}"
+                f"tile_reduce expects a ({self.dim_y}, {self.dim_x}) array"
+                f" or a band of whole tile rows, got {array.shape} at row {y0}"
             )
-        row_starts = np.arange(self.rows) * self.tile_h
+        row_starts = np.arange(0, array.shape[0], self.tile_h)
         col_starts = np.arange(self.cols) * self.tile_w
         return op.reduceat(op.reduceat(array, row_starts, axis=0), col_starts, axis=1)
 

@@ -33,8 +33,6 @@ from repro.kernels.api import (
     SCALAR_PIXEL_WORK,
     VECTOR_PIXEL_WORK,
     halo_region,
-    merge_channels,
-    split_channels,
     synthetic_picture,
     tile_works,
 )
@@ -42,36 +40,52 @@ from repro.kernels.api import (
 __all__ = ["BlurKernel", "blur_rect_vectorized", "blur_rect_scalar"]
 
 
+def _axis_counts(lo: int, n: int, dim: int) -> np.ndarray:
+    """Neighbours along one axis of positions ``lo .. lo + n - 1`` in
+    ``[0, dim)``: 3, minus one at each image border."""
+    counts = np.full(n, 3.0)
+    if lo == 0:
+        counts[0] -= 1.0
+    if lo + n == dim:
+        counts[-1] -= 1.0
+    return counts
+
+
 def blur_rect_vectorized(src: np.ndarray, dst: np.ndarray, x: int, y: int, w: int, h: int) -> None:
     """Blur the rectangle (x, y, w, h) of ``src`` into ``dst``.
 
     Handles image borders by averaging over the neighbours that exist
-    (variable divisor), entirely with NumPy shifts — the "compiled
-    bulk code" stand-in.
+    (variable divisor), entirely in NumPy — the "compiled bulk code"
+    stand-in.  The clipped halo is viewed as ``uint8`` channels and
+    zero-padded into ``uint16``; the 3x3 box sum is separable (rows,
+    then columns) and the divisor is the product of the per-axis
+    neighbour counts.  Sums and counts are exact small integers, so
+    ``rint(box / cnt)`` rounds exactly like the scalar reference.
+    ``src`` may be ``dst``: the halo is copied before any write.
     """
     dim_y, dim_x = src.shape
-    # only the rectangle plus its 1-pixel halo (clipped to the image) is
-    # ever read; plane indices below are offset by the halo origin
-    y0, x0 = max(0, y - 1), max(0, x - 1)
-    planes = split_channels(src[y0 : min(dim_y, y + h + 1), x0 : min(dim_x, x + w + 1)])
-    acc = np.zeros((4, h, w))
-    cnt = np.zeros((h, w))
-    for dy in (-1, 0, 1):
-        sy0 = y + dy
-        for dx in (-1, 0, 1):
-            sx0 = x + dx
-            # clip the shifted window to the image
-            ty0 = max(0, -sy0)
-            tx0 = max(0, -sx0)
-            ty1 = h - max(0, sy0 + h - dim_y)
-            tx1 = w - max(0, sx0 + w - dim_x)
-            if ty0 >= ty1 or tx0 >= tx1:
-                continue
-            acc[:, ty0:ty1, tx0:tx1] += planes[
-                :, sy0 + ty0 - y0 : sy0 + ty1 - y0, sx0 + tx0 - x0 : sx0 + tx1 - x0
-            ]
-            cnt[ty0:ty1, tx0:tx1] += 1.0
-    dst[y : y + h, x : x + w] = merge_channels(acc / cnt)
+    y0, y1 = max(0, y - 1), min(dim_y, y + h + 1)
+    x0, x1 = max(0, x - 1), min(dim_x, x + w + 1)
+    # pad[1 + i, 1 + j] holds the (a, b, g, r) bytes of src[y + i, x + j]
+    # for in-bounds pixels, else zeros
+    pad = np.zeros((h + 2, w + 2, 4), dtype=np.uint16)
+    pad[y0 - y + 1 : y1 - y + 1, x0 - x + 1 : x1 - x + 1] = (
+        src[y0:y1, x0:x1]
+        .astype("<u4", copy=False)
+        .view(np.uint8)
+        .reshape(y1 - y0, x1 - x0, 4)
+    )
+    rows = pad[:, :-2] + pad[:, 1:-1] + pad[:, 2:]
+    box = rows[:-2] + rows[1:-1] + rows[2:]
+    if y and x and y + h < dim_y and x + w < dim_x:
+        cnt = 9.0  # no image border within reach
+    else:
+        cnt = np.multiply.outer(
+            _axis_counts(y, h, dim_y), _axis_counts(x, w, dim_x)
+        )[..., None]
+    avg = np.divide(box, cnt)
+    out = np.rint(avg, out=avg).astype(np.uint8)
+    dst[y : y + h, x : x + w] = out.view("<u4")[..., 0]
 
 
 def blur_rect_scalar(src: np.ndarray, dst: np.ndarray, x: int, y: int, w: int, h: int) -> None:
@@ -156,9 +170,9 @@ class BlurKernel(Kernel):
         """One whole-frame blur; True if it covered the request.
 
         Neighbourhood clipping in :func:`blur_rect_vectorized` is to the
-        *image* borders (never to tile borders) and accumulation runs in
-        a fixed (dy, dx) order, so the full-frame call writes exactly
-        the bytes the per-tile calls would.
+        *image* borders (never to tile borders) and its sums are exact
+        integers, so the full-frame call writes exactly the bytes the
+        per-tile calls would.
         """
         if len(tiles) != len(ctx.grid):
             return False

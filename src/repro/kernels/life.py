@@ -157,29 +157,40 @@ class LifeKernel(Kernel):
 
     # -- whole-frame fast path (perf mode) ----------------------------------
     def compute_frame(self, ctx, tiles) -> np.ndarray | None:
-        """Whole-frame step; per-tile change flags recovered by a
-        vectorized ``logical_or`` reduction.
+        """Whole-frame step — on an MPI rank, whole-band step — with
+        per-tile change flags recovered by a vectorized ``logical_or``
+        reduction.
 
-        Accepts the full grid, or exactly the dirty-tile subset the
-        ``lazy`` variant schedules: a non-dirty tile's neighbourhood was
-        steady, so recomputing it reproduces its current cells — the
-        invariant laziness itself relies on — which makes the whole-frame
-        step write the same bytes as computing only the subset, and
-        leaves those tiles' change flags False either way.
+        Accepts every tile of the frame (of the rank's band), or exactly
+        the dirty-tile subset the lazy variants schedule: a non-dirty
+        tile's neighbourhood was steady, so recomputing it reproduces
+        its current cells — the invariant laziness itself relies on —
+        which makes the whole step write the same bytes as computing
+        only the subset, and leaves those tiles' change flags False
+        either way.
         """
-        if ctx.mpi is not None:
-            return None
-        if len(tiles) != len(ctx.grid):
+        grid = ctx.grid
+        if ctx.mpi is None:
+            y0, h, ly = 0, ctx.dim, 0
+        else:
+            # rows 1..band_h of the ghosted band are the rank's rows
+            y0, h, ly = ctx.data["band_y0"], ctx.data["band_h"], 1
+        rows = slice(y0 // grid.tile_h, -(-(y0 + h) // grid.tile_h))
+        if len(tiles) != (rows.stop - rows.start) * grid.cols:
             dirty = ctx.data.get("dirty")
             if dirty is None:
                 return None
-            mask = np.zeros(len(ctx.grid), dtype=bool)
-            mask[ctx.grid.tile_index_array(tiles)] = True
-            if not np.array_equal(mask, dirty.ravel()):
+            mask = np.zeros(dirty.shape, dtype=bool)
+            mask.flat[grid.tile_index_array(tiles)] = True
+            want = np.zeros_like(mask)
+            want[rows] = dirty[rows]
+            if not np.array_equal(mask, want):
                 return None
         cells, nxt = ctx.data["cells"], ctx.data["next"]
-        life_step_rect(cells, nxt, 0, 0, ctx.dim, ctx.dim)
-        ctx.data["changes"] = ctx.grid.tile_reduce(nxt != cells, np.logical_or)
+        life_step_rect(cells, nxt, ly, 0, h, ctx.dim)
+        ctx.data["changes"][rows] = grid.tile_reduce(
+            nxt[ly : ly + h] != cells[ly : ly + h], np.logical_or, y0=y0
+        )
         return tile_works(tiles, CELL_WORK)
 
     def _begin_iter(self, ctx) -> None:
@@ -361,7 +372,9 @@ class LifeKernel(Kernel):
                         ly : ly + t.h, t.x : t.x + t.w
                     ]
             if todo:
-                ctx.parallel_for(ctx.body(self._do_tile_mpi), todo)
+                ctx.parallel_for(
+                    ctx.body(self._do_tile_mpi), todo, frame=self.compute_frame
+                )
             ctx.data["prev_changes"] = ctx.data["changes"].copy()
             local_changed = bool(ctx.data["changes"].any())
             ctx.data["cells"], ctx.data["next"] = ctx.data["next"], ctx.data["cells"]

@@ -21,6 +21,7 @@ substrate: hooks cannot reach into rank processes.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import re
 from typing import Callable
@@ -135,6 +136,8 @@ def _run_rank(
         "dropped_events": ctx.bus.dropped_events,
         "data": dict(ctx.data),
         "stats": comm.stats,
+        "fastpath_regions": ctx.fastpath_regions,
+        "jit_tier": ctx.execution_tier(),
         "ctx": ctx,  # stripped before crossing a process boundary
     }
 
@@ -176,6 +179,8 @@ def _to_result(payload: dict, *, remote: bool):
         context=context,
         counters=payload["counters"],
         dropped_events=payload["dropped_events"],
+        fastpath_regions=payload["fastpath_regions"],
+        jit_tier=payload["jit_tier"],
     )
 
 
@@ -214,14 +219,20 @@ def mpi_run(
         results = [_to_result(p, remote=False) for p in payloads]
         world_counters = _world_totals(p["stats"] for p in payloads)
 
-    master = results[0]
-    master.rank_results = results
-    # report the slowest rank's clocks: ranks run synchronized by ghost
-    # exchanges, so the laggard defines both the virtual and the wall time
-    master.virtual_time = max(r.virtual_time for r in results)
-    master.wall_time = max(r.wall_time for r in results)
-    master.config = config
-    master.counters = {**master.counters, **world_counters}
+    # the master is a copy of rank 0's result, so each per-rank result
+    # keeps its own clocks, tier and fast-path count; it reports the
+    # slowest rank's clocks (ranks run synchronized by ghost exchanges,
+    # so the laggard defines both the virtual and the wall time)
+    master = dataclasses.replace(
+        results[0],
+        config=config,
+        virtual_time=max(r.virtual_time for r in results),
+        wall_time=max(r.wall_time for r in results),
+        rank_results=results,
+        fastpath_regions=sum(r.fastpath_regions for r in results),
+        counters={**results[0].counters, **world_counters},
+        jit_tier="",
+    )
     return master
 
 

@@ -43,6 +43,16 @@ def make_config(**kwargs) -> RunConfig:
     return RunConfig(**defaults)
 
 
+@pytest.fixture(scope="class")
+def mpi_pools_shut_down_after():
+    """Stop the persistent MPI rank pools once the class's tests ran
+    (for tests that opt in to ``mpi_backend="procs"``)."""
+    yield
+    from repro.mpi import shutdown_mpi_pools
+
+    shutdown_mpi_pools()
+
+
 @pytest.fixture
 def config():
     return make_config()

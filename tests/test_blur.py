@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.engine import run
 from repro.core.image import rgba
@@ -9,6 +11,7 @@ from repro.core.tiling import TileGrid
 from repro.kernels.api import SCALAR_PIXEL_WORK, VECTOR_PIXEL_WORK
 from repro.kernels.blur import blur_rect_scalar, blur_rect_vectorized
 from tests.conftest import make_config
+from tests.oracles import blur as oracle
 
 
 def random_img(dim, seed=0):
@@ -70,6 +73,79 @@ class TestBlurRect:
         dst = np.zeros_like(src)
         blur_rect_vectorized(src, dst, 0, 0, 8, 8)
         assert np.array_equal(dst, src)
+
+
+@st.composite
+def images_and_rects(draw):
+    """A random ``(H, W)`` image up to 40x40 and a rectangle in it: any
+    rectangle, a single pixel, or the whole frame.  Half of the images
+    draw their channel bytes from a small palette, so the averages over
+    4 (corner) and 6 (edge) pixels often land exactly on a half."""
+    H, W = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    palette = draw(st.sampled_from([None, (0, 1), (0, 255), (0, 1, 2, 3, 254, 255)]))
+    if palette is None:
+        img = rng.integers(0, 2**32, size=(H, W), dtype=np.uint32)
+    else:
+        channels = rng.choice(np.array(palette, dtype=np.uint8), size=(H, W, 4))
+        img = channels.view("<u4")[..., 0].astype(np.uint32)
+    kind = draw(st.sampled_from(["rect", "pixel", "frame"]))
+    if kind == "frame":
+        return img, 0, 0, W, H
+    y, x = draw(st.integers(0, H - 1)), draw(st.integers(0, W - 1))
+    if kind == "pixel":
+        return img, x, y, 1, 1
+    return img, x, y, draw(st.integers(1, W - x)), draw(st.integers(1, H - y))
+
+
+def garbage_like(img, seed=11):
+    return np.random.default_rng(seed).integers(0, 2**32, img.shape, dtype=np.uint32)
+
+
+class TestSingleCoreMatchesOracle:
+    """Per-tile, whole-frame, ``ocl`` and MPI-band blur share
+    ``blur_rect_vectorized``; these properties check it against
+    independent code: nine shifted ``float64`` adds over split channel
+    planes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=images_and_rects())
+    def test_rect_equals_oracle(self, case):
+        src, x, y, w, h = case
+        before = src.copy()
+        got, want = garbage_like(src), garbage_like(src)
+        blur_rect_vectorized(src, got, x, y, w, h)
+        oracle.blur_rect(src, want, x, y, w, h)
+        assert np.array_equal(got, want)  # the rect, and nothing outside it
+        assert np.array_equal(src, before)
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=images_and_rects())
+    def test_in_place_equals_oracle(self, case):
+        """``src is dst``, the call examples/buggy_blur_writes_cur.py
+        makes: the whole halo is read before any pixel is written."""
+        img, x, y, w, h = case
+        got, want = img.copy(), img.copy()
+        blur_rect_vectorized(got, got, x, y, w, h)
+        oracle.blur_rect(want, want, x, y, w, h)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("total,divisor,expected", [
+        (2, 4, 0), (6, 4, 2), (10, 4, 2),  # corners: x.5 rounds to even
+        (3, 6, 0), (9, 6, 2), (15, 6, 2),  # edges
+    ])
+    def test_round_half_to_even(self, total, divisor, expected):
+        # a 2x3 image: the corner (0, 0) averages 4 pixels, the edge
+        # pixel (0, 1) averages 6; only the first pixel carries a value
+        src = np.zeros((2, 3), dtype=np.uint32)
+        src[0, 0] = rgba(total, 0, total, 0)
+        src[1, 0] = rgba(0, total, 0, 0)
+        target = (0, 0) if divisor == 4 else (0, 1)
+        got, want = np.zeros_like(src), np.zeros_like(src)
+        blur_rect_vectorized(src, got, 0, 0, 3, 2)
+        oracle.blur_rect(src, want, 0, 0, 3, 2)
+        assert np.array_equal(got, want)
+        assert int(got[target]) == rgba(expected, expected, expected, 0)
 
 
 class TestVariants:

@@ -177,3 +177,82 @@ class TestReplayCacheParity:
         cfg = make_config(kernel="mandel", variant="omp_tiled", iterations=2)
         cache = WorkProfileCache()
         assert cache.simulate(cfg) == pytest.approx(run(cfg).virtual_time)
+
+
+@pytest.mark.usefixtures("mpi_pools_shut_down_after")
+class TestMpiLife:
+    """MPI Life ranks take the whole-band fast path: every rank's band
+    steps in one core call, whether the lazy variant schedules the full
+    band or its dirty subset."""
+
+    # diag at 48² stabilizes at iteration 57, so early stop is covered;
+    # its sparse gliders make the lazy dirty subsets small
+    BASE = dict(kernel="life", variant="mpi_omp", dim=48, tile_w=8, tile_h=8,
+                iterations=60, seed=5)
+
+    @pytest.mark.parametrize("backend", ["inproc", "procs"])
+    @pytest.mark.parametrize("np_", [1, 2, 3])
+    @pytest.mark.parametrize("dataset", ["random", "diag", "gun"])
+    def test_fast_equals_reference(self, dataset, np_, backend):
+        fast, ref = run_pair(arg=dataset, mpi_np=np_, mpi_backend=backend,
+                             **self.BASE)
+        assert fast.fastpath_regions > 0
+        assert ref.fastpath_regions == 0
+        assert_identical(fast, ref)
+        if dataset == "diag":
+            assert fast.early_stop == 57
+        assert len(fast.rank_results) == len(ref.rank_results) == np_
+        for f, r in zip(fast.rank_results, ref.rank_results):
+            # every region the reference ran, lazy subsets included,
+            # took the fast path
+            assert f.fastpath_regions == r.counters.get("regions", 0)
+            assert f.virtual_time == r.virtual_time
+            assert np.array_equal(f.context.data["cells"], r.context.data["cells"])
+
+    def test_frame_declines_mismatched_subsets(self):
+        from repro.core.context import ExecutionContext
+        from repro.core.kernel import get_kernel
+        from repro.mpi.comm import run_world
+        from repro.mpi.proc import MpiProcessContext
+
+        def rank_main(comm, rank):
+            cfg = make_config(kernel="life", variant="mpi_omp", dim=64,
+                              tile_w=16, tile_h=16, arg="random")
+            kernel = get_kernel("life")
+            ctx = ExecutionContext(cfg)
+            ctx.mpi = MpiProcessContext(rank=rank, size=2, comm=comm)
+            kernel.init(ctx)
+            kernel._begin_iter(ctx)
+            band = ctx.data["tiles"]  # 2 tile rows of 4 tiles
+            other = [t for t in ctx.grid if t not in band]
+            dirty = ctx.data["dirty"]
+            dirty[:] = False
+            for t in band[:3]:
+                dirty[t.row, t.col] = True
+            # dilation marks tiles of the neighbour's band too; only the
+            # band's own tile rows count
+            dirty[other[0].row, other[0].col] = True
+            nxt = ctx.data["next"].copy()
+            declined = [
+                kernel.compute_frame(ctx, subset) is None
+                for subset in (
+                    band[:2],                 # a dirty tile missing
+                    band[:4],                 # a steady tile added
+                    band[:3] + other[:1],     # another rank's tile
+                    other[:1],
+                )
+            ]
+            untouched = (
+                np.array_equal(ctx.data["next"], nxt)
+                and not ctx.data["changes"].any()
+            )
+            accepted = [
+                kernel.compute_frame(ctx, subset) is not None
+                for subset in (band[:3], band)
+            ]
+            return declined, untouched, accepted
+
+        for declined, untouched, accepted in run_world(2, rank_main):
+            assert declined == [True] * 4
+            assert untouched
+            assert accepted == [True, True]

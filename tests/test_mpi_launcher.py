@@ -104,3 +104,38 @@ class TestMergedResult:
         assert r.counters["mpi_msgs_sent_world"] > 0
         assert r.counters["mpi_bytes_sent_world"] > 0
         assert r.counters["mpi_collectives_world"] > 0
+
+
+@pytest.mark.usefixtures("mpi_pools_shut_down_after")
+class TestRankTier:
+    """Each rank result reports its own execution tier and fast-path
+    region count, on both substrates; the master sums the counts."""
+
+    ITERATIONS = 3
+
+    def _cfg(self, **kw):
+        # random cells keep every rank's band dirty, so every iteration
+        # runs one region per rank
+        base = dict(kernel="life", variant="mpi_omp", dim=64, tile_w=16,
+                    tile_h=16, iterations=self.ITERATIONS, arg="random", mpi_np=2)
+        base.update(kw)
+        return make_config(**base)
+
+    @pytest.mark.parametrize("backend", ["inproc", "procs"])
+    def test_plain_run_ranks_take_fast_path(self, backend):
+        r = run(self._cfg(mpi_backend=backend))
+        assert [rr.jit_tier for rr in r.rank_results] == ["fastpath", "fastpath"]
+        assert [rr.fastpath_regions for rr in r.rank_results] == [self.ITERATIONS] * 2
+        assert r.fastpath_regions == 2 * self.ITERATIONS
+        assert r.jit_tier == ""  # aggregate result: tiers live on the ranks
+
+    @pytest.mark.parametrize("backend", ["inproc", "procs"])
+    def test_monitored_master_rank_is_interpreted(self, backend):
+        r = run(self._cfg(mpi_backend=backend, monitoring=True))
+        master, other = r.rank_results
+        assert master.jit_tier == "interpreted"
+        assert master.fastpath_regions == 0
+        assert master.monitor is not None
+        # only the master monitors, so the other rank keeps the fast path
+        assert other.jit_tier == "fastpath"
+        assert r.fastpath_regions == other.fastpath_regions == self.ITERATIONS
