@@ -113,7 +113,11 @@ def _time_limit(seconds: float | None) -> Iterator[None]:
         yield
         return
 
+    fired = False
+
     def _on_alarm(signum, frame):
+        nonlocal fired
+        fired = True
         raise SweepTimeout(f"run exceeded {seconds}s")
 
     old_handler = signal.signal(signal.SIGALRM, _on_alarm)
@@ -123,6 +127,11 @@ def _time_limit(seconds: float | None) -> Iterator[None]:
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0.0)
         signal.signal(signal.SIGALRM, old_handler)
+    if fired:
+        # the handler ran, but its exception never got here: it fired
+        # inside code that swallows exceptions (a finalizer, a broad
+        # ``except``).  The run still exceeded its limit.
+        raise SweepTimeout(f"run exceeded {seconds}s")
 
 
 def _base_row(config: RunConfig, rep: int, machine: str) -> dict:

@@ -25,9 +25,9 @@ from repro.core.context import ExecutionContext, select_tier
 from repro.core.kernel import get_kernel
 from repro.errors import ConfigError
 from repro.sched.costmodel import CostModel
-from repro.sched.dag_sim import dag_policy_makespan, simulate_dag
+from repro.sched.dag_sim import dag_policy_makespan
+from repro.sched.policies import DynamicSchedule
 from repro.sched.simulator import simulate
-from repro.sched.taskgraph import TaskGraph
 
 __all__ = ["RegionLog", "WorkProfileCache", "replay_log"]
 
@@ -92,6 +92,8 @@ def replay_log(
     for entry in log:
         kind = entry[0]
         if kind == PAR:
+            # stays on the timeline path: perfbench's sweep_fig6 span
+            # coverage expects these sched.event_loop calls (ROADMAP)
             costs = noisy(model.times_of(entry[1]))
             res = simulate(costs, policy, nthreads, model=model, start_time=vclock)
             vclock = max(res.timeline.makespan, vclock) + model.fork_join_overhead
@@ -99,19 +101,14 @@ def replay_log(
             vclock += sum(noisy(model.times_of(entry[1])))
         elif kind == MASTER:
             vclock += model.time_of(entry[1])
-        elif kind == DAG:
-            works, preds = entry[1], entry[2]
-            costs = noisy(model.times_of(works))
-            graph = TaskGraph()
-            for i, c in enumerate(costs):
-                graph.add_task(None, c, depends_on=preds[i])
-            tl = simulate_dag(graph, nthreads, model=model, start_time=vclock)
-            vclock = max(tl.makespan, vclock) + model.fork_join_overhead
-        elif kind == DAGP:
+        elif kind in (DAG, DAGP):
+            # a task region ("dag") is FIFO list scheduling: the DAG
+            # engine's dynamic branch, whatever the run's schedule
             works, preds = entry[1], entry[2]
             costs = noisy(model.times_of(works))
             end = dag_policy_makespan(
-                costs, preds, policy, nthreads, model=model, start_time=vclock
+                costs, preds, policy if kind == DAGP else DynamicSchedule(),
+                nthreads, model=model, start_time=vclock,
             )
             vclock = max(end, vclock) + model.fork_join_overhead
         else:  # pragma: no cover - defensive

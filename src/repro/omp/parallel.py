@@ -23,7 +23,8 @@ falling back to the reference path.  The fast path engages only when
 :meth:`ExecutionContext.fastpath_active` holds — no monitoring, no
 tracing, no footprints — and is bit-identical to the reference in every
 remaining observable: final images, kernel state, the virtual clock
-(closed-form makespans match the event loop exactly), the region log,
+(the makespan-only scheduler reads the same dispatch records as the
+timeline path), the region log,
 and the jitter RNG stream.
 """
 
@@ -163,7 +164,7 @@ def _dag_for(ctx, body, items, deps, policy: SchedulePolicy, kind: str) -> SimRe
 
 def _fast_region(ctx, works: np.ndarray, policy: SchedulePolicy) -> SimResult:
     """Advance the clock past one worksharing region without building a
-    timeline: closed-form makespan over the frame's work vector."""
+    timeline: the schedule's makespan over the frame's work vector."""
     costs = ctx.frame_costs(works, "par")
     makespan = simulate_makespan(
         costs, policy, ctx.nthreads, model=ctx.model, start_time=ctx.vclock

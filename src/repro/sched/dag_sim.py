@@ -15,20 +15,32 @@ the dynamic family on wavefront DAGs.  The dynamic/guided/stealing
 policies all collapse to greedy FIFO list scheduling (a central ready
 queue *is* what makes them dynamic; chunking is moot when readiness,
 not contiguity, gates execution).
+
+Both models are one engine, :func:`_dag_dispatch`, which emits one
+dispatch record (:mod:`repro.sched.records`) per task: a
+:class:`~repro.sched.taskgraph.TaskGraph` is FIFO list scheduling of its
+costs and preds (task ids are a topological order by construction).
+:func:`dag_policy_makespan` reads the records without building a
+timeline.  Its heapq event-loop oracles are in ``tests/oracles/sched.py``.
 """
 
 from __future__ import annotations
 
 import heapq
+from operator import itemgetter
 from typing import Any, Sequence
 
 from repro.errors import SimulationError
-from repro.sched.costmodel import CostModel, DEFAULT_COST_MODEL
-from repro.sched.policies import SchedulePolicy, StaticSchedule
+from repro.sched.costmodel import DEFAULT_COST_MODEL, CostModel
+from repro.sched.policies import DynamicSchedule, SchedulePolicy, StaticSchedule
+from repro.sched.records import Record, makespan
 from repro.sched.taskgraph import TaskGraph
 from repro.sched.timeline import TaskExec, Timeline
 
 __all__ = ["simulate_dag", "simulate_dag_policy", "dag_policy_makespan"]
+
+#: ``#pragma omp task`` regions: greedy FIFO list scheduling
+_FIFO = DynamicSchedule()
 
 
 def simulate_dag(
@@ -46,152 +58,21 @@ def simulate_dag(
     * a task never starts before all its predecessors have finished;
     * a CPU runs at most one task at a time;
     * no CPU stays idle while a ready task is pending (greediness).
+
+    The timeline lists the tasks in dispatch order.
     """
-    if ncpus < 1:
-        raise SimulationError(f"need at least one cpu, got {ncpus}")
-    n = len(graph)
+    nodes = graph.nodes
+    records = _dag_dispatch(
+        [node.cost for node in nodes], [node.preds for node in nodes],
+        _FIFO, ncpus, model, start_time,
+    )
     base_meta = dict(meta or {})
-    timeline = Timeline(ncpus=ncpus)
-    if n == 0:
-        return timeline
-
-    indeg = [len(node.preds) for node in graph.nodes]
-    finish = [0.0] * n
-    # ready: min-heap on (release_time, tid) — FIFO among simultaneously
-    # released tasks thanks to increasing tids within a wave.
-    ready: list[tuple[float, int]] = [
-        (start_time, tid) for tid, d in enumerate(indeg) if d == 0
-    ]
-    heapq.heapify(ready)
-    # idle CPUs: (free_time, cpu)
-    cpus: list[tuple[float, int]] = [(start_time, c) for c in range(ncpus)]
-    heapq.heapify(cpus)
-
-    scheduled = 0
-    while ready:
-        rel, tid = heapq.heappop(ready)
-        free_t, cpu = heapq.heappop(cpus)
-        node = graph.nodes[tid]
-        t0 = max(rel, free_t) + model.dispatch_overhead
-        t1 = t0 + node.cost
-        m = dict(base_meta)
-        m.update(node.meta)
-        m["tid"] = tid
-        m["preds"] = sorted(node.preds)
-        timeline.append(TaskExec(node.item, cpu, t0, t1, m))
-        finish[tid] = t1
-        heapq.heappush(cpus, (t1, cpu))
-        scheduled += 1
-        for s in sorted(node.succs):
-            indeg[s] -= 1
-            if indeg[s] == 0:
-                release = max(finish[p] for p in graph.nodes[s].preds)
-                heapq.heappush(ready, (release, s))
-    if scheduled != n:
-        raise SimulationError(
-            f"scheduled {scheduled}/{n} tasks — graph has a cycle?"
-        )
-    return timeline
-
-
-def _schedule_policy(
-    costs: Sequence[float],
-    preds: Sequence[Sequence[int]],
-    policy: SchedulePolicy,
-    ncpus: int,
-    model: CostModel,
-    start_time: float,
-) -> list[tuple[int, float, float]]:
-    """Per-task ``(cpu, start, finish)`` of policy-aware DAG scheduling.
-
-    ``preds[i]`` must only name lower indices (enumeration order is a
-    topological order — the :class:`~repro.core.domains.WorkDomain`
-    contract), which is what makes the single forward pass below exact.
-    """
-    n = len(costs)
-    if ncpus < 1:
-        raise SimulationError(f"need at least one cpu, got {ncpus}")
-    if len(preds) != n:
-        raise SimulationError(f"{len(preds)} pred lists for {n} costs")
-    out: list[tuple[int, float, float]] = [(0, start_time, start_time)] * n
-    if n == 0:
-        return out
-    d = model.dispatch_overhead
-    finish = [0.0] * n
-
-    if isinstance(policy, StaticSchedule):
-        # fixed assignment: each CPU runs its chunks in order, paying
-        # the dispatch once per chunk and *idling* until the next
-        # item's predecessors finish.  One pass in increasing global
-        # index is exact: preds and same-CPU predecessors in program
-        # order both have lower indices.
-        cpu_of = [0] * n
-        chunk_head = [False] * n
-        for cpu, chunks in enumerate(policy.assignment(n, ncpus)):
-            for chunk in chunks:
-                first = True
-                for idx in chunk.indices():
-                    if idx < 0 or idx >= n:
-                        raise SimulationError(f"task index {idx} out of range")
-                    cpu_of[idx] = cpu
-                    chunk_head[idx] = first
-                    first = False
-        free = [start_time] * ncpus
-        for i in range(n):
-            for p in preds[i]:
-                if not 0 <= p < i:
-                    raise SimulationError(
-                        f"pred {p} of task {i} violates topological order"
-                    )
-            cpu = cpu_of[i]
-            t0 = free[cpu] + (d if chunk_head[i] else 0.0)
-            for p in preds[i]:
-                if finish[p] > t0:
-                    t0 = finish[p]
-            t1 = t0 + costs[i]
-            finish[i] = t1
-            free[cpu] = t1
-            out[i] = (cpu, t0, t1)
-        return out
-
-    # dynamic family (dynamic/guided/nonmonotonic): greedy FIFO list
-    # scheduling off a central ready queue, one dispatch per task
-    nsuccs: list[list[int]] = [[] for _ in range(n)]
-    indeg = [0] * n
-    for i, ps in enumerate(preds):
-        for p in ps:
-            if not 0 <= p < i:
-                raise SimulationError(
-                    f"pred {p} of task {i} violates topological order"
-                )
-            nsuccs[p].append(i)
-            indeg[i] += 1
-    ready: list[tuple[float, int]] = [
-        (start_time, i) for i in range(n) if indeg[i] == 0
-    ]
-    heapq.heapify(ready)
-    cpus: list[tuple[float, int]] = [(start_time, c) for c in range(ncpus)]
-    heapq.heapify(cpus)
-    scheduled = 0
-    while ready:
-        rel, i = heapq.heappop(ready)
-        free_t, cpu = heapq.heappop(cpus)
-        t0 = max(rel, free_t) + d
-        t1 = t0 + costs[i]
-        finish[i] = t1
-        out[i] = (cpu, t0, t1)
-        heapq.heappush(cpus, (t1, cpu))
-        scheduled += 1
-        for s in nsuccs[i]:
-            indeg[s] -= 1
-            if indeg[s] == 0:
-                release = max(finish[p] for p in preds[s])
-                heapq.heappush(ready, (release, s))
-    if scheduled != n:
-        raise SimulationError(
-            f"scheduled {scheduled}/{n} tasks — graph has a cycle?"
-        )
-    return out
+    execs = []
+    for cpu, t0, tid, _hi, _stolen, t1 in records:
+        node = nodes[tid]
+        m = {**base_meta, **node.meta, "tid": tid, "preds": sorted(node.preds)}
+        execs.append(TaskExec(node.item, cpu, t0, t1, m))
+    return Timeline(execs, ncpus=ncpus)
 
 
 def simulate_dag_policy(
@@ -210,22 +91,24 @@ def simulate_dag_policy(
     Same invariants as :func:`simulate_dag` (no task before its preds,
     one task per CPU at a time) plus policy semantics: ``static`` keeps
     its fixed chunk assignment (idling on unmet dependencies), the
-    dynamic family greedily dispatches whatever is ready.
+    dynamic family greedily dispatches whatever is ready.  The timeline
+    lists the items in index order.
     """
-    slots = _schedule_policy(costs, preds, policy, ncpus, model, start_time)
+    records = _dag_dispatch(costs, preds, policy, ncpus, model, start_time)
     if items is None:
-        items = list(range(len(costs)))
+        items = range(len(costs))
     elif len(items) != len(costs):
         raise SimulationError(f"{len(items)} items for {len(costs)} costs")
     base_meta = dict(meta or {})
-    timeline = Timeline(ncpus=ncpus)
-    for i, (cpu, t0, t1) in enumerate(slots):
-        m = dict(base_meta)
+    records.sort(key=itemgetter(2))
+    execs = []
+    for cpu, t0, i, _hi, _stolen, t1 in records:
+        m = base_meta.copy()
         m["index"] = i
         m["tid"] = i
         m["preds"] = sorted(preds[i])
-        timeline.append(TaskExec(items[i], cpu, t0, t1, m))
-    return timeline
+        execs.append(TaskExec(items[i], cpu, t0, t1, m))
+    return Timeline(execs, ncpus=ncpus)
 
 
 def dag_policy_makespan(
@@ -237,13 +120,83 @@ def dag_policy_makespan(
     model: CostModel = DEFAULT_COST_MODEL,
     start_time: float = 0.0,
 ) -> float:
-    """Makespan of :func:`simulate_dag_policy` without the timeline.
+    """Makespan of :func:`simulate_dag_policy` without the timeline."""
+    return makespan(_dag_dispatch(costs, preds, policy, ncpus, model, start_time))
 
-    Runs the identical forward pass (same float operations in the same
-    order), so the value is bit-identical — the replay memo and the
-    perf path lean on that equality.
+
+def _dag_dispatch(
+    costs: Sequence[float],
+    preds: Sequence[Sequence[int]],
+    policy: SchedulePolicy,
+    ncpus: int,
+    model: CostModel,
+    start_time: float,
+) -> list[Record]:
+    """One record per task, in dispatch order.
+
+    ``preds[i]`` must only name lower indices (enumeration order is a
+    topological order — the :class:`~repro.core.domains.WorkDomain`
+    contract), which is what makes the single forward pass of the
+    static branch exact and guarantees FIFO list scheduling runs every
+    task.
     """
-    slots = _schedule_policy(costs, preds, policy, ncpus, model, start_time)
-    if not slots:
-        return 0.0
-    return max(t1 for _, _, t1 in slots)
+    n = len(costs)
+    if ncpus < 1:
+        raise SimulationError(f"need at least one cpu, got {ncpus}")
+    if len(preds) != n:
+        raise SimulationError(f"{len(preds)} pred lists for {n} costs")
+    for i, ps in enumerate(preds):
+        for p in ps:
+            if not 0 <= p < i:
+                raise SimulationError(f"pred {p} of task {i} violates topological order")
+    d = model.dispatch_overhead
+    finish = [0.0] * n
+    records: list[Record] = []
+
+    if isinstance(policy, StaticSchedule):
+        # fixed assignment: each CPU runs its chunks in order, paying
+        # the dispatch once per chunk and *idling* until the next
+        # item's predecessors finish.  One pass in increasing global
+        # index is exact: preds and same-CPU predecessors in program
+        # order both have lower indices.
+        cpu_of = [0] * n
+        chunk_head = [False] * n
+        for cpu, chunks in enumerate(policy.assignment(n, ncpus)):
+            for chunk in chunks:  # never empty
+                cpu_of[chunk.lo:chunk.hi] = [cpu] * len(chunk)
+                chunk_head[chunk.lo] = True
+        free = [start_time] * ncpus
+        for i in range(n):
+            cpu = cpu_of[i]
+            t0 = free[cpu] + (d if chunk_head[i] else 0.0)
+            for p in preds[i]:
+                if finish[p] > t0:
+                    t0 = finish[p]
+            t1 = t0 + costs[i]
+            finish[i] = free[cpu] = t1
+            records.append((cpu, t0, i, i + 1, False, t1))
+        return records
+
+    # dynamic family: greedy FIFO list scheduling off a central ready
+    # queue, one dispatch per task.  ready: min-heap on (release, tid),
+    # FIFO among simultaneously released tasks.
+    succs: list[list[int]] = [[] for _ in range(n)]
+    for i, ps in enumerate(preds):
+        for p in ps:
+            succs[p].append(i)
+    indeg = [len(ps) for ps in preds]
+    ready = [(start_time, i) for i in range(n) if not indeg[i]]  # sorted: a valid heap
+    cpus = [(start_time, cpu) for cpu in range(ncpus)]
+    while ready:
+        rel, i = heapq.heappop(ready)
+        free_t, cpu = heapq.heappop(cpus)
+        t0 = max(rel, free_t) + d
+        t1 = t0 + costs[i]
+        finish[i] = t1
+        records.append((cpu, t0, i, i + 1, False, t1))
+        heapq.heappush(cpus, (t1, cpu))
+        for s in succs[i]:
+            indeg[s] -= 1
+            if not indeg[s]:
+                heapq.heappush(ready, (max(finish[p] for p in preds[s]), s))
+    return records

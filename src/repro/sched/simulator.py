@@ -1,40 +1,33 @@
-"""Event-driven simulation of OpenMP loop scheduling.
+"""Simulation of OpenMP loop scheduling.
 
 Given per-item costs and a :class:`~repro.sched.policies.SchedulePolicy`,
 :func:`simulate` computes the exact timeline a pool of ``ncpus`` virtual
-CPUs would produce: every policy of the paper's Fig. 4 is driven through
-the same event loop, so timelines are directly comparable.
+CPUs would produce for every policy of the paper's Fig. 4, so timelines
+are directly comparable.
+
+Each policy family decides its dispatches in one function that emits
+dispatch records (:mod:`repro.sched.records`): :func:`_static_dispatch`
+for ``static``, :func:`_queue_dispatch` for ``dynamic``/``guided``, and
+:func:`~repro.sched.workstealing._steal_dispatch` for
+``nonmonotonic:dynamic``.  :func:`simulate` expands the records into a
+timeline; :func:`simulate_makespan`, the perf-mode entry, reads only the
+largest chunk end and builds no :class:`TaskExec`.  Both walk the same
+decisions, so the two makespans are bit-identical.
 
 The simulation is fully deterministic: ties between CPUs becoming free
 at the same instant are broken by CPU index, mirroring the determinism
 of a barrier-released thread team grabbing chunks in rank order.
-
-:func:`simulate_makespan` is the perf-mode companion: when nothing
-consumes per-task timelines (no monitoring, no tracing), the static and
-dynamic-family policies admit a closed form — per-CPU sequences of
-``[start, dispatch, cost, cost, ...]`` folded with ``np.add.accumulate``
-— that yields the **bit-identical** makespan of the event loop without
-allocating a single :class:`TaskExec`.  ``np.add.accumulate`` sums
-strictly left-to-right, so the floating-point association matches the
-reference loop exactly; this invariant is enforced by a Hypothesis
-property in ``tests/test_simulator.py``.  Work stealing has no closed
-form, but its event loop is deterministic, so
-:func:`~repro.sched.workstealing.stealing_makespan` replays it with a
-plain free-time array and vectorized chunk folds — no heapq, no
-per-task records, same makespan bit for bit.  Perf mode therefore never
-runs the heapq event loop for *any* schedule policy.
+Exact-equality properties check the engine against the heapq event-loop
+oracles in ``tests/oracles/sched.py``.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
 from typing import Any, Sequence
 
-import numpy as np
-
 from repro.errors import SimulationError
-from repro.sched.costmodel import CostModel, DEFAULT_COST_MODEL
+from repro.sched.costmodel import DEFAULT_COST_MODEL, CostModel
 from repro.sched.policies import (
     Chunk,
     DynamicSchedule,
@@ -43,50 +36,10 @@ from repro.sched.policies import (
     SchedulePolicy,
     StaticSchedule,
 )
-from repro.sched.timeline import TaskExec, Timeline
+from repro.sched.records import ChunkGrab, Fold, Record, SimResult, expand, folder, makespan
 from repro.sched.workstealing import simulate_stealing, stealing_makespan
 
 __all__ = ["simulate", "simulate_makespan", "SimResult", "ChunkGrab"]
-
-
-@dataclass(frozen=True)
-class ChunkGrab:
-    """One chunk hand-out: who got which range, when, and how."""
-
-    cpu: int
-    time: float
-    chunk: Chunk
-    stolen: bool = False
-
-    @property
-    def size(self) -> int:
-        return len(self.chunk)
-
-
-@dataclass
-class SimResult:
-    """Timeline plus scheduler-level bookkeeping.
-
-    ``fast_makespan`` is set (and the timeline left empty) when the
-    result comes from the closed-form fast path, which computes the
-    makespan without materializing per-task executions.
-    """
-
-    timeline: Timeline
-    grabs: list[ChunkGrab] = field(default_factory=list)
-    steals: int = 0
-    fast_makespan: float | None = None
-
-    @property
-    def makespan(self) -> float:
-        if self.fast_makespan is not None:
-            return self.fast_makespan
-        return self.timeline.makespan
-
-    def chunk_sizes(self) -> list[int]:
-        """Chunk sizes in grab order (guided: non-increasing, Fig. 4d)."""
-        ordered = sorted(self.grabs, key=lambda g: (g.time, g.cpu))
-        return [g.size for g in ordered]
 
 
 def simulate(
@@ -118,109 +71,14 @@ def simulate(
     if ncpus < 1:
         raise SimulationError(f"need at least one cpu, got {ncpus}")
     if items is None:
-        items = list(range(n))
+        items = range(n)
     elif len(items) != n:
-        raise SimulationError(
-            f"{len(items)} items for {n} costs"
-        )
+        raise SimulationError(f"{len(items)} items for {n} costs")
     base_meta = dict(meta or {})
-
-    if isinstance(policy, StaticSchedule):
-        result = _simulate_static(costs, policy, ncpus, items, model, start_time, base_meta)
-    elif isinstance(policy, NonMonotonicDynamic):
-        result = simulate_stealing(
-            costs, policy, ncpus, items, model, start_time, base_meta, ChunkGrab, SimResult
-        )
-    elif isinstance(policy, (DynamicSchedule, GuidedSchedule)):
-        result = _simulate_queue(costs, policy, ncpus, items, model, start_time, base_meta)
-    else:
-        raise SimulationError(f"unsupported policy {policy!r}")
-    return result
-
-
-def _run_chunk(
-    timeline: Timeline,
-    chunk: Chunk,
-    cpu: int,
-    t: float,
-    costs: Sequence[float],
-    items: Sequence[Any],
-    base_meta: dict,
-    stolen: bool = False,
-) -> float:
-    """Execute a chunk's iterations back-to-back on ``cpu`` from time ``t``."""
-    for idx in chunk.indices():
-        end = t + costs[idx]
-        m = dict(base_meta)
-        m["index"] = idx
-        if stolen:
-            m["stolen"] = True
-        timeline.append(TaskExec(items[idx], cpu, t, end, m))
-        t = end
-    return t
-
-
-def _simulate_static(
-    costs: Sequence[float],
-    policy: StaticSchedule,
-    ncpus: int,
-    items: Sequence[Any],
-    model: CostModel,
-    start_time: float,
-    base_meta: dict,
-) -> SimResult:
-    timeline = Timeline(ncpus=ncpus)
-    grabs: list[ChunkGrab] = []
-    assignment = policy.assignment(len(costs), ncpus)
-    for cpu, chunks in enumerate(assignment):
-        t = start_time
-        for chunk in chunks:
-            t += model.dispatch_overhead
-            grabs.append(ChunkGrab(cpu, t, chunk))
-            t = _run_chunk(timeline, chunk, cpu, t, costs, items, base_meta)
-    return SimResult(timeline, grabs)
-
-
-def _simulate_queue(
-    costs: Sequence[float],
-    policy: DynamicSchedule | GuidedSchedule,
-    ncpus: int,
-    items: Sequence[Any],
-    model: CostModel,
-    start_time: float,
-    base_meta: dict,
-) -> SimResult:
-    n = len(costs)
-    if isinstance(policy, GuidedSchedule):
-        queue = policy.chunk_queue(n, ncpus)
-    else:
-        queue = policy.chunk_queue(n)
-    timeline = Timeline(ncpus=ncpus)
-    grabs: list[ChunkGrab] = []
-    # min-heap of (free_time, cpu): the earliest-free CPU grabs the next chunk;
-    # ties resolve by cpu rank, as a real team leaving a barrier would race
-    # deterministically in our model.
-    heap: list[tuple[float, int]] = [(start_time, cpu) for cpu in range(ncpus)]
-    heapq.heapify(heap)
-    qi = 0
-    while qi < len(queue):
-        t, cpu = heapq.heappop(heap)
-        chunk = queue[qi]
-        qi += 1
-        t += model.dispatch_overhead
-        grabs.append(ChunkGrab(cpu, t, chunk))
-        t = _run_chunk(timeline, chunk, cpu, t, costs, items, base_meta)
-        heapq.heappush(heap, (t, cpu))
-    return SimResult(timeline, grabs)
-
-
-# --------------------------------------------------------------------------
-# Closed-form makespans (the perf-mode fast path)
-# --------------------------------------------------------------------------
-
-#: below this chunk size a plain Python loop beats building a NumPy array;
-#: both produce bit-identical sums, so the cutoff is purely a speed knob
-_ACCUMULATE_CUTOFF = 32
+    if isinstance(policy, NonMonotonicDynamic):
+        return simulate_stealing(costs, policy, ncpus, items, model, start_time, base_meta)
+    records = _dispatch(costs, policy, ncpus, model, start_time)
+    return expand(records, costs, items, base_meta, ncpus)
 
 
 def simulate_makespan(
@@ -231,80 +89,60 @@ def simulate_makespan(
     model: CostModel = DEFAULT_COST_MODEL,
     start_time: float = 0.0,
 ) -> float:
-    """Makespan of :func:`simulate`, bit-identical, without the timeline.
-
-    Static policies reduce to one ``np.add.accumulate`` per CPU over the
-    concatenation ``[start, dispatch, chunk costs..., dispatch, ...]``;
-    dynamic/guided keep the tiny chunk-grab heap (plain floats, same tie
-    breaking) but fold each chunk's costs the same closed-form way.
-    ``nonmonotonic:dynamic`` replays its deterministic event loop
-    without the heap or per-task records
-    (:func:`~repro.sched.workstealing.stealing_makespan`).
-    """
-    n = len(costs)
+    """Makespan of :func:`simulate`, bit-identical, without the timeline."""
     if ncpus < 1:
         raise SimulationError(f"need at least one cpu, got {ncpus}")
-    if n == 0:
-        return 0.0
     if isinstance(policy, NonMonotonicDynamic):
         return stealing_makespan(costs, policy, ncpus, model, start_time)
-    c = np.ascontiguousarray(costs, dtype=np.float64)
+    return makespan(_dispatch(costs, policy, ncpus, model, start_time))
+
+
+def _dispatch(
+    costs: Sequence[float],
+    policy: SchedulePolicy,
+    ncpus: int,
+    model: CostModel,
+    start_time: float,
+) -> list[Record]:
+    n = len(costs)
+    fold = folder(costs)
+    d = model.dispatch_overhead
     if isinstance(policy, StaticSchedule):
-        return _static_makespan(c, policy, ncpus, model, start_time)
+        return _static_dispatch(policy.assignment(n, ncpus), fold, d, start_time)
     if isinstance(policy, GuidedSchedule):
-        return _queue_makespan(c, policy.chunk_queue(n, ncpus), ncpus, model, start_time)
+        return _queue_dispatch(policy.chunk_queue(n, ncpus), ncpus, fold, d, start_time)
     if isinstance(policy, DynamicSchedule):
-        return _queue_makespan(c, policy.chunk_queue(n), ncpus, model, start_time)
+        return _queue_dispatch(policy.chunk_queue(n), ncpus, fold, d, start_time)
     raise SimulationError(f"unsupported policy {policy!r}")
 
 
-def _static_makespan(
-    c: np.ndarray,
-    policy: StaticSchedule,
-    ncpus: int,
-    model: CostModel,
-    start_time: float,
-) -> float:
-    dispatch = np.array([model.dispatch_overhead])
-    start = np.array([start_time])
-    makespan = 0.0
-    for chunks in policy.assignment(len(c), ncpus):
-        if not chunks:
-            continue
-        parts = [start]
-        for ch in chunks:
-            parts.append(dispatch)
-            parts.append(c[ch.lo : ch.hi])
-        end = float(np.add.accumulate(np.concatenate(parts))[-1])
-        if end > makespan:
-            makespan = end
-    return makespan
+def _static_dispatch(
+    assignment: list[list[Chunk]], fold: Fold, d: float, start_time: float
+) -> list[Record]:
+    """Each CPU runs its fixed chunk list in order, one dispatch per chunk."""
+    records: list[Record] = []
+    for cpu, chunks in enumerate(assignment):
+        t = start_time
+        for chunk in chunks:
+            t += d
+            end = fold(t, chunk.lo, chunk.hi)
+            records.append((cpu, t, chunk.lo, chunk.hi, False, end))
+            t = end
+    return records
 
 
-def _queue_makespan(
-    c: np.ndarray,
-    queue: Sequence[Chunk],
-    ncpus: int,
-    model: CostModel,
-    start_time: float,
-) -> float:
-    d = model.dispatch_overhead
-    heap: list[tuple[float, int]] = [(start_time, cpu) for cpu in range(ncpus)]
-    heapq.heapify(heap)
-    makespan = 0.0
+def _queue_dispatch(
+    queue: list[Chunk], ncpus: int, fold: Fold, d: float, start_time: float
+) -> list[Record]:
+    """The earliest-free CPU grabs the next chunk of the queue; ties
+    resolve by CPU rank, as a team leaving a barrier would race
+    deterministically in our model."""
+    records: list[Record] = []
+    free = [(start_time, cpu) for cpu in range(ncpus)]  # sorted: a valid heap
     for chunk in queue:
-        t, cpu = heapq.heappop(heap)
+        t, cpu = heapq.heappop(free)
         t += d
-        lo, hi = chunk.lo, chunk.hi
-        if hi - lo >= _ACCUMULATE_CUTOFF:
-            seg = np.empty(hi - lo + 1)
-            seg[0] = t
-            seg[1:] = c[lo:hi]
-            t = float(np.add.accumulate(seg)[-1])
-        else:
-            for cost in c[lo:hi].tolist():
-                t += cost
-        if t > makespan:
-            makespan = t
-        heapq.heappush(heap, (t, cpu))
-    return makespan
+        end = fold(t, chunk.lo, chunk.hi)
+        records.append((cpu, t, chunk.lo, chunk.hi, False, end))
+        heapq.heappush(free, (end, cpu))
+    return records

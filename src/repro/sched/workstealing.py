@@ -8,6 +8,12 @@ the iteration space and consumes it from the front in chunks of ``k``;
 a CPU whose block is exhausted steals from the *back* of the block of
 the victim with the most remaining iterations (or half the victim's
 block with ``steal_half=True`` — the ABL2 ablation knob).
+
+:func:`_steal_dispatch` is the family's one decision point; it emits
+dispatch records (:mod:`repro.sched.records`) that
+:func:`simulate_stealing` expands into a timeline and
+:func:`stealing_makespan` reduces to the makespan.  Its heapq
+event-loop oracle is in ``tests/oracles/sched.py``.
 """
 
 from __future__ import annotations
@@ -15,20 +21,11 @@ from __future__ import annotations
 import heapq
 from typing import Any, Sequence
 
-import numpy as np
-
 from repro.sched.costmodel import CostModel
 from repro.sched.policies import Chunk, NonMonotonicDynamic
-from repro.sched.timeline import TaskExec, Timeline
+from repro.sched.records import Record, SimResult, expand, folder, makespan
 
 __all__ = ["simulate_stealing", "stealing_makespan"]
-
-#: same speed knob as simulator._ACCUMULATE_CUTOFF (kept local — the
-#: simulator imports this module, not the other way around): chunks at
-#: least this long are folded with ``np.add.accumulate``, whose strictly
-#: left-to-right accumulation is bit-identical to the sequential
-#: ``t = t + cost`` python-float adds of the event loop
-_ACCUMULATE_CUTOFF = 32
 
 
 class _Block:
@@ -65,84 +62,10 @@ def simulate_stealing(
     model: CostModel,
     start_time: float,
     base_meta: dict,
-    grab_cls,
-    result_cls,
-    record_tasks: bool = True,
-):
-    """Event-driven simulation; returns a ``SimResult``.
-
-    Deterministic: ties in free time break by CPU index, victim choice
-    is the largest remaining block (ties by lowest CPU index).
-
-    With ``record_tasks=False`` (the perf-mode fast path: stealing has
-    no closed form, but nobody reads the timeline) the per-task records
-    and their meta dicts are skipped; the result carries the makespan in
-    ``fast_makespan`` and an empty timeline.  The event loop itself is
-    identical either way, so the makespan is bit-for-bit the same.
-    """
-    n = len(costs)
-    timeline = Timeline(ncpus=ncpus)
-    grabs = []
-    steals = 0
-    makespan = 0.0
-    blocks = [_Block(c.lo, c.hi) for c in policy.initial_blocks(n, ncpus)]
-    k = policy.chunk
-
-    # Inline chunk execution (kept local to avoid an import cycle with
-    # simulator.py, which imports this module).
-    def run_chunk(chunk: Chunk, cpu: int, t: float, stolen: bool) -> float:
-        if not record_tasks:
-            for idx in chunk.indices():
-                t = t + costs[idx]
-            return t
-        for idx in chunk.indices():
-            end = t + costs[idx]
-            m = dict(base_meta)
-            m["index"] = idx
-            if stolen:
-                m["stolen"] = True
-            timeline.append(TaskExec(items[idx], cpu, t, end, m))
-            t = end
-        return t
-
-    heap: list[tuple[float, int]] = [(start_time, cpu) for cpu in range(ncpus)]
-    heapq.heapify(heap)
-    done = 0
-    parked: list[tuple[float, int]] = []
-    while done < n:
-        if not heap:  # pragma: no cover - defensive; cannot happen while done < n
-            break
-        t, cpu = heapq.heappop(heap)
-        own = blocks[cpu]
-        if own.remaining > 0:
-            t += model.dispatch_overhead
-            chunk = own.take_front(k)
-            grabs.append(grab_cls(cpu, t, chunk, stolen=False))
-            t = run_chunk(chunk, cpu, t, stolen=False)
-            done += len(chunk)
-            if t > makespan:
-                makespan = t
-            heapq.heappush(heap, (t, cpu))
-            continue
-        # Steal: pick the victim with the most remaining work.
-        victim = max(range(ncpus), key=lambda c: (blocks[c].remaining, -c))
-        if blocks[victim].remaining == 0:
-            # Nothing left anywhere *right now*; but other CPUs scheduled
-            # later in the heap may still hold unconsumed front chunks —
-            # they don't (blocks are global state), so this CPU is done.
-            parked.append((t, cpu))
-            continue
-        t += model.steal_overhead
-        amount = max(blocks[victim].remaining // 2, k) if policy.steal_half else k
-        chunk = blocks[victim].take_back(amount)
-        steals += 1
-        grabs.append(grab_cls(cpu, t, chunk, stolen=True))
-        t = run_chunk(chunk, cpu, t, stolen=True)
-        done += len(chunk)
-        if t > makespan:
-            makespan = t
-        heapq.heappush(heap, (t, cpu))
-    return result_cls(timeline, grabs, steals, None if record_tasks else makespan)
+) -> SimResult:
+    """Timeline of work stealing; stolen iterations carry ``stolen`` meta."""
+    records = _steal_dispatch(costs, policy, ncpus, model, start_time)
+    return expand(records, costs, items, base_meta, ncpus)
 
 
 def stealing_makespan(
@@ -152,71 +75,46 @@ def stealing_makespan(
     model: CostModel,
     start_time: float = 0.0,
 ) -> float:
-    """The work-stealing makespan without the heapq event loop.
+    """Makespan of :func:`simulate_stealing` without the timeline."""
+    return makespan(_steal_dispatch(costs, policy, ncpus, model, start_time))
 
-    Work stealing has no *closed form* (which CPU steals next depends on
-    every earlier completion), but the event loop's evolution is fully
-    deterministic, so it can be *replayed* with plain state — a
-    free-time array instead of a heap, vectorized chunk folds instead of
-    per-task bookkeeping — and proven exactly equal to
-    :func:`simulate_stealing`:
 
-    * the heap pops the smallest ``(t, cpu)`` tuple; a linear argmin
-      over still-active CPUs with a strict ``<`` keeps the lowest index
-      on ties — the same order;
-    * a parked CPU (nothing left to steal) is never re-pushed onto the
-      heap; clearing its ``active`` flag is the same exclusion;
-    * chunk execution is ``t = t + costs[i]`` left to right; the
-      ``np.add.accumulate`` fold is strictly left-to-right, hence
-      bit-identical (short chunks just run the python loop).
+def _steal_dispatch(
+    costs: Sequence[float],
+    policy: NonMonotonicDynamic,
+    ncpus: int,
+    model: CostModel,
+    start_time: float,
+) -> list[Record]:
+    """Deterministic: ties in free time break by CPU index, victim choice
+    is the largest remaining block (ties by lowest CPU index).
 
-    This is what :func:`repro.sched.simulator.simulate_makespan`
-    dispatches to, completing perf mode's no-event-loop guarantee for
-    every schedule policy.
+    Every dispatch removes its chunk from the blocks, so while items
+    remain some block is non-empty and a CPU out of work always finds a
+    victim.
     """
     n = len(costs)
-    c = np.asarray(costs, dtype=np.float64)
+    fold = folder(costs)
     blocks = [_Block(b.lo, b.hi) for b in policy.initial_blocks(n, ncpus)]
     k = policy.chunk
-    free = [start_time] * ncpus
-    active = [True] * ncpus
-    makespan = 0.0
+    records: list[Record] = []
+    free = [(start_time, cpu) for cpu in range(ncpus)]  # sorted: a valid heap
     done = 0
-
-    def fold(t: float, lo: int, hi: int) -> float:
-        if hi - lo >= _ACCUMULATE_CUTOFF:
-            seg = np.empty(hi - lo + 1)
-            seg[0] = t
-            seg[1:] = c[lo:hi]
-            return float(np.add.accumulate(seg)[-1])
-        for cost in c[lo:hi].tolist():
-            t = t + cost
-        return t
-
     while done < n:
-        cpu = -1
-        t = 0.0
-        for i in range(ncpus):
-            if active[i] and (cpu < 0 or free[i] < t):
-                cpu = i
-                t = free[i]
-        if cpu < 0:  # pragma: no cover - defensive; cannot happen while done < n
-            break
+        t, cpu = heapq.heappop(free)
         own = blocks[cpu]
-        if own.remaining > 0:
+        stolen = own.remaining == 0
+        if not stolen:
             t += model.dispatch_overhead
             chunk = own.take_front(k)
         else:
-            victim = max(range(ncpus), key=lambda i: (blocks[i].remaining, -i))
-            if blocks[victim].remaining == 0:
-                active[cpu] = False  # parked: never scheduled again
-                continue
+            victim = blocks[max(range(ncpus), key=lambda i: (blocks[i].remaining, -i))]
             t += model.steal_overhead
-            amount = max(blocks[victim].remaining // 2, k) if policy.steal_half else k
-            chunk = blocks[victim].take_back(amount)
-        t = fold(t, chunk.lo, chunk.hi)
-        done += chunk.hi - chunk.lo
-        if t > makespan:
-            makespan = t
-        free[cpu] = t
-    return makespan
+            chunk = victim.take_back(
+                max(victim.remaining // 2, k) if policy.steal_half else k
+            )
+        end = fold(t, chunk.lo, chunk.hi)
+        records.append((cpu, t, chunk.lo, chunk.hi, stolen, end))
+        done += len(chunk)
+        heapq.heappush(free, (end, cpu))
+    return records

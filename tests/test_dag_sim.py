@@ -1,13 +1,17 @@
 """Tests for DAG list scheduling (the omp-task runtime model)."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError
-from repro.sched.costmodel import CostModel
-from repro.sched.dag_sim import simulate_dag
+from repro.sched.costmodel import DEFAULT_COST_MODEL, CostModel
+from repro.sched.dag_sim import dag_policy_makespan, simulate_dag, simulate_dag_policy
+from repro.sched.policies import parse_schedule
 from repro.sched.taskgraph import TaskGraph
+from tests.oracles import sched as oracle
 
 ZERO = CostModel(1.0, 0.0, 0.0, 0.0)
 
@@ -107,8 +111,6 @@ class TestDependencyRespect:
 )
 def test_dag_sim_invariants(n, ncpus, costs_seed):
     """Property: validity + dependency respect + greedy bound on wavefronts."""
-    import random
-
     rnd = random.Random(costs_seed)
     g = TaskGraph()
     for i in range(n):
@@ -128,3 +130,69 @@ def test_dag_sim_invariants(n, ncpus, costs_seed):
     # Graham bound for greedy list scheduling
     assert tl.makespan <= total / ncpus + cp + 1e-9
     assert tl.makespan >= max(cp, total / ncpus) - 1e-9
+
+
+# ---------------------------------------------------------------------------
+# The DAG engine against the heapq event loops of tests/oracles/sched.py
+# ---------------------------------------------------------------------------
+
+ORACLE_MODELS = [ZERO, CostModel(1.0, 0.25, 0.5, 0.0), DEFAULT_COST_MODEL]
+ORACLE_SPECS = ["static", "static,1", "static,3", "dynamic", "dynamic,4",
+                "guided", "nonmonotonic:dynamic", "nonmonotonic:dynamic,2"]
+
+
+@st.composite
+def random_dags(draw):
+    """``(costs, preds)`` of a random DAG whose indices are a topological
+    order; costs mix magnitudes from 1e-7 to 1e3."""
+    n = draw(st.integers(min_value=0, max_value=40))
+    rnd = random.Random(draw(st.integers(min_value=0, max_value=10**6)))
+    density = draw(st.sampled_from([0.0, 0.1, 0.3, 0.8]))
+    costs = [rnd.choice([0.0, rnd.uniform(1.0, 9.99) * 10.0 ** rnd.randint(-7, 3)])
+             for _ in range(n)]
+    preds = [sorted(p for p in range(i) if rnd.random() < density) for i in range(n)]
+    return costs, preds
+
+
+def _execs(timeline):
+    return [(e.item, e.cpu, e.start, e.end, e.meta) for e in timeline]
+
+
+@settings(max_examples=200, deadline=None)
+@given(dag=random_dags(), ncpus=st.integers(min_value=1, max_value=8),
+       model=st.sampled_from(ORACLE_MODELS),
+       start_time=st.sampled_from([0.0, 1.5, 7e3]))
+def test_simulate_dag_equals_oracle_exactly(dag, ncpus, model, start_time):
+    """Property: FIFO list scheduling of a TaskGraph equals the event
+    loop's timeline (dispatch order, item, cpu, start, end, meta)."""
+    costs, preds = dag
+    g = TaskGraph()
+    for i, c in enumerate(costs):
+        g.add_task(("t", i), cost=c, depends_on=preds[i], meta={"w": i})
+    kw = dict(model=model, start_time=start_time, meta={"iteration": 2})
+    got = simulate_dag(g, ncpus, **kw)
+    want = oracle.simulate_dag(g, ncpus, **kw)
+    assert _execs(got) == _execs(want)
+    assert got.ncpus == want.ncpus
+
+
+@settings(max_examples=200, deadline=None)
+@given(dag=random_dags(), ncpus=st.integers(min_value=1, max_value=8),
+       spec=st.sampled_from(ORACLE_SPECS), model=st.sampled_from(ORACLE_MODELS),
+       start_time=st.sampled_from([0.0, 1.5, 7e3]))
+def test_dag_policy_equals_oracle_exactly(dag, ncpus, spec, model, start_time):
+    """Property: policy-aware DAG scheduling (timeline and makespan)
+    equals the event loop's, float for float, for every policy."""
+    costs, preds = dag
+    policy = parse_schedule(spec)
+    kw = dict(model=model, start_time=start_time)
+    got = simulate_dag_policy(costs, preds, policy, ncpus, meta={"k": 1}, **kw)
+    want = oracle.simulate_dag_policy(costs, preds, policy, ncpus, meta={"k": 1}, **kw)
+    assert _execs(got) == _execs(want)
+    assert got.ncpus == want.ncpus
+    assert dag_policy_makespan(costs, preds, policy, ncpus, **kw) == want.makespan
+
+
+def test_dag_policy_rejects_non_topological_preds():
+    with pytest.raises(SimulationError):
+        dag_policy_makespan([1.0, 1.0], [[1], []], parse_schedule("dynamic"), 2)

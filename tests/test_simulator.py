@@ -1,11 +1,11 @@
-"""Tests for the event-driven loop-scheduling simulator."""
+"""Tests for the loop-scheduling simulator."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError
-from repro.sched.costmodel import CostModel
+from repro.sched.costmodel import DEFAULT_COST_MODEL, CostModel
 from repro.sched.policies import (
     DynamicSchedule,
     GuidedSchedule,
@@ -13,6 +13,8 @@ from repro.sched.policies import (
     StaticSchedule,
 )
 from repro.sched.simulator import simulate, simulate_makespan
+from repro.sched.workstealing import stealing_makespan
+from tests.oracles import sched as oracle
 
 ZERO = CostModel(seconds_per_unit=1.0, dispatch_overhead=0.0,
                  steal_overhead=0.0, fork_join_overhead=0.0)
@@ -185,41 +187,85 @@ def test_dynamic_is_greedy(costs, ncpus):
 
 
 # ---------------------------------------------------------------------------
-# Closed-form fast path (simulate_makespan) vs the event loop
+# The engine against the heapq event loops of tests/oracles/sched.py
 # ---------------------------------------------------------------------------
 
 OVERHEAD_MODELS = [
     ZERO,
     CostModel(seconds_per_unit=1.0, dispatch_overhead=0.25,
               steal_overhead=0.5, fork_join_overhead=0.0),
-    CostModel(seconds_per_unit=5e-9, dispatch_overhead=2.5e-7,
-              steal_overhead=1.5e-6, fork_join_overhead=5e-6),  # default scale
+    DEFAULT_COST_MODEL,
 ]
 
+#: ALL_POLICIES plus chunks long enough for the np.add.accumulate fold
+ORACLE_POLICIES = ALL_POLICIES + [
+    StaticSchedule(1),
+    DynamicSchedule(40),
+    NonMonotonicDynamic(40),
+    NonMonotonicDynamic(33, steal_half=True),
+]
 
-@settings(max_examples=120, deadline=None)
-@given(
-    costs=st.lists(
-        st.floats(min_value=0.0, max_value=10.0, allow_nan=False), max_size=60
-    ),
-    ncpus=st.integers(min_value=1, max_value=8),
-    policy_i=st.integers(min_value=0, max_value=len(ALL_POLICIES) - 1),
-    model_i=st.integers(min_value=0, max_value=len(OVERHEAD_MODELS) - 1),
-    start_time=st.sampled_from([0.0, 1.5, 123.456, 7e3]),
+#: zero, or mantissa x 10^e for e in [-7, 3]: mixed magnitudes are where
+#: any reordering of the additions would show up
+_COST = st.one_of(
+    st.just(0.0),
+    st.builds(lambda m, e: m * 10.0 ** e,
+              st.floats(min_value=1.0, max_value=9.99), st.integers(-7, 3)),
 )
-def test_closed_form_equals_event_loop_exactly(costs, ncpus, policy_i, model_i,
+#: short lists, and lists long enough for chunks past the accumulate cutoff
+COSTS = st.one_of(st.lists(_COST, max_size=40),
+                  st.lists(_COST, min_size=64, max_size=200))
+START_TIMES = st.sampled_from([0.0, 1.5, 123.456, 7e3])
+
+
+def _execs(timeline):
+    return [(e.item, e.cpu, e.start, e.end, e.meta) for e in timeline]
+
+
+def _grabs(result):
+    return [(g.cpu, g.time, g.chunk, g.stolen, g.size) for g in result.grabs]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    costs=COSTS,
+    ncpus=st.integers(min_value=1, max_value=8),
+    policy=st.sampled_from(ORACLE_POLICIES),
+    model=st.sampled_from(OVERHEAD_MODELS),
+    start_time=START_TIMES,
+)
+def test_engine_equals_oracle_exactly(costs, ncpus, policy, model, start_time):
+    """Property: timeline (order, item, cpu, start, end, meta), grabs,
+    steals and makespan all equal the event loop's, float for float."""
+    kw = dict(model=model, start_time=start_time, meta={"iteration": 3})
+    got = simulate(costs, policy, ncpus, **kw)
+    want = oracle.simulate(costs, policy, ncpus, **kw)
+    assert _execs(got.timeline) == _execs(want.timeline)
+    assert got.timeline.ncpus == want.timeline.ncpus
+    assert _grabs(got) == _grabs(want)
+    assert got.steals == want.steals
+    assert got.makespan == want.makespan
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    costs=COSTS,
+    ncpus=st.integers(min_value=1, max_value=8),
+    policy=st.sampled_from(ORACLE_POLICIES),
+    model=st.sampled_from(OVERHEAD_MODELS),
+    start_time=START_TIMES,
+)
+def test_closed_form_equals_event_loop_exactly(costs, ncpus, policy, model,
                                                start_time):
-    """Property: the closed-form/queue-replay makespan is EXACTLY equal
-    (``==``, not approx) to the event-driven simulation — the perf-mode
-    fast path must not drift by a single ulp, or bit-identical virtual
-    clocks across the two engine paths become impossible."""
-    policy = ALL_POLICIES[policy_i]
-    model = OVERHEAD_MODELS[model_i]
-    full = simulate(costs, policy, ncpus, model=model, start_time=start_time)
+    """Property: the perf-mode makespan is EXACTLY equal (``==``, not
+    approx) to the event loop's — it must not drift by a single ulp, or
+    bit-identical virtual clocks across the two engine paths become
+    impossible."""
     fast = simulate_makespan(costs, policy, ncpus, model=model,
                              start_time=start_time)
-    expect = full.timeline.makespan if len(costs) else 0.0
-    assert fast == expect
+    full = oracle.simulate(costs, policy, ncpus, model=model,
+                           start_time=start_time)
+    assert fast == (full.timeline.makespan if costs else 0.0)
 
 
 @settings(max_examples=40, deadline=None)
@@ -235,7 +281,7 @@ def test_closed_form_exact_across_magnitudes(costs, ncpus, policy_i):
     """Property: exactness survives mixed cost magnitudes (catastrophic
     ranges for naive summation reorderings)."""
     policy = ALL_POLICIES[policy_i]
-    full = simulate(costs, policy, ncpus, model=ZERO)
+    full = oracle.simulate(costs, policy, ncpus, model=ZERO)
     assert simulate_makespan(costs, policy, ncpus, model=ZERO) == \
         full.timeline.makespan
 
@@ -245,30 +291,26 @@ def test_closed_form_empty_costs():
 
 
 class TestStealingClosedForm:
-    """The deterministic replay of work stealing (no heapq event loop)."""
-
     def test_direct_equality_with_overheads(self):
-        from repro.sched.workstealing import stealing_makespan
-
         model = CostModel(seconds_per_unit=1.0, dispatch_overhead=0.25,
                           steal_overhead=0.5, fork_join_overhead=0.0)
         costs = [5.0] * 4 + [0.1] * 29 + [2.0] * 8
         for policy in (NonMonotonicDynamic(1), NonMonotonicDynamic(2),
                        NonMonotonicDynamic(1, steal_half=True)):
             for ncpus in (1, 2, 3, 7):
-                full = simulate(costs, policy, ncpus, model=model,
-                                start_time=3.25)
+                full = oracle.simulate(costs, policy, ncpus, model=model,
+                                       start_time=3.25)
                 fast = stealing_makespan(costs, policy, ncpus, model,
                                          start_time=3.25)
                 assert fast == full.timeline.makespan
 
     def test_makespan_dispatch_avoids_event_loop(self, monkeypatch):
-        """simulate_makespan must route stealing policies through the
-        closed form — perf mode never pays for the heapq event loop."""
+        """simulate_makespan must route stealing policies to the
+        makespan entry — perf mode never builds a timeline."""
         import repro.sched.simulator as simulator
 
         def boom(*a, **k):  # pragma: no cover - would mean a regression
-            raise AssertionError("perf mode entered the event loop")
+            raise AssertionError("perf mode built a timeline")
 
         monkeypatch.setattr(simulator, "simulate_stealing", boom)
         got = simulate_makespan([1.0, 2.0, 3.0], NonMonotonicDynamic(1), 2,

@@ -21,6 +21,7 @@ import pytest
 from repro.errors import ConfigError
 from repro.expt.csvdb import append_rows, read_rows, strip_provenance
 from repro.expt.executors import pool_chunksize
+from repro.expt.executors.base import SweepTimeout, _time_limit
 from repro.expt.exptools import (
     IDENTITY_COLUMNS,
     completed_points,
@@ -158,22 +159,35 @@ class TestResume:
 
 class TestFailures:
     def test_timeout_records_error_row_and_sweep_continues(self, tmp_path):
+        # 1-iteration points take ~0.05 s; 1000 iterations are seconds of
+        # work (>= 20x the limit), which SIGALRM cuts off at 0.2 s
         p = tmp_path / "perf.csv"
         rows = execute(
             "easypap", {"OMP_NUM_THREADS=": [2]},
             {"--kernel ": ["mandel"], "--size ": [64, 512],
-             "--iterations ": [1, 8]},
+             "--iterations ": [1, 1000]},
             csv_path=p, timeout=0.2, retries=1,
         )
-        assert len(rows) == 4
-        by_status = {r["status"] for r in rows}
-        assert "error" in by_status and "ok" in by_status
+        # every point has its own status, and an ok point follows an error
+        assert [(r["dim"], r["iterations"], r["status"]) for r in rows] == [
+            (64, 1, "ok"), (64, 1000, "error"), (512, 1, "ok"), (512, 1000, "error"),
+        ]
         failed = [r for r in rows if r["status"] == "error"]
         assert all("exceeded" in r["error"] for r in failed)
         assert all(r["time_us"] == "" for r in failed)
         # the CSV stays loadable and the error rows round-trip
         stored = read_rows(p)
         assert len(stored) == 4
+
+    def test_swallowed_alarm_still_times_out(self):
+        # an alarm that fires inside code swallowing exceptions must not
+        # turn an over-limit run into an ok one
+        with pytest.raises(SweepTimeout):
+            with _time_limit(0.05):
+                try:
+                    time.sleep(1.0)
+                except SweepTimeout:
+                    pass
 
     def test_timeout_in_parallel_workers(self, tmp_path):
         rows = execute(
